@@ -2,15 +2,15 @@
 //!
 //! [`lock_order`](crate::lock_order) proves the *ordering* of lock
 //! acquisitions is cycle-free; this pass bounds how long a guard may
-//! be *held*. A `TrackedMutex`/`TrackedRwLock` guard that stays live
+//! be *held*. A parking_lot `Mutex`/`RwLock` guard that stays live
 //! across a call into a closeness kernel, telemetry export, or simnet
 //! delivery serializes exactly the work the workspace spends its time
-//! in — the broker audit found such a stall dynamically in PR 1, and
-//! this pass rules the pattern out statically.
+//! in, and every other thread contending for that lock stalls behind
+//! it; this pass rules the pattern out statically.
 //!
 //! Mechanically it is the first consumer of the CFG layer: guard
 //! liveness is a forward may-analysis over basic blocks (gen at a
-//! `let g = <recv>.lock()/.read()/.write()` on a Tracked-typed
+//! `let g = <recv>.lock()/.read()/.write()` on a lock-typed
 //! receiver, kill at `drop(g)` or at the binding's scope-end byte),
 //! so a guard dropped on only one branch of an `if` is still live at
 //! the join — a case the lexical lock-order walk cannot see. Calls
@@ -38,8 +38,9 @@ pub const FORBIDDEN: &[(&str, &str)] = &[
 /// Lock-guard-producing zero-arg methods.
 const ACQUIRE: [&str; 3] = ["lock", "read", "write"];
 
-/// Wrapper types whose guards this pass tracks.
-const TRACKED_TYPES: [&str; 2] = ["TrackedMutex", "TrackedRwLock"];
+/// Lock types whose guards this pass tracks (the parking_lot family;
+/// the std locks are banned by the lock-hygiene lint).
+const TRACKED_TYPES: [&str; 2] = ["Mutex", "RwLock"];
 
 /// One live guard binding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -274,8 +275,8 @@ pub fn run(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
     findings
 }
 
-/// Names declared with a Tracked lock type head (`peers:
-/// TrackedMutex<…>` fields, annotated lets/params).
+/// Names declared with a lock type head (`peers: Mutex<…>` fields,
+/// annotated lets/params), looking through a shared `Arc<…>`.
 fn tracked_names(code: &[&Token<'_>]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for i in 0..code.len() {
@@ -292,6 +293,8 @@ fn tracked_names(code: &[&Token<'_>]) -> BTreeSet<String> {
             match code[j].kind {
                 TokenKind::Ident => head = Some(code[j].text),
                 TokenKind::Punct if code[j].is_punct(':') => {}
+                // `Arc<Mutex<…>>`: the shared lock is the head.
+                TokenKind::Punct if code[j].is_punct('<') && head == Some("Arc") => head = None,
                 _ => break,
             }
             j += 1;
@@ -307,46 +310,46 @@ fn tracked_names(code: &[&Token<'_>]) -> BTreeSet<String> {
 mod tests {
     use super::*;
 
-    const KERNEL: (&str, &str) = (
-        "crates/profile/src/k.rs",
-        "pub fn pair_cardinalities() {}\n",
+    const DELIVERY: (&str, &str) = (
+        "crates/simnet/src/n.rs",
+        "pub struct Network;\nimpl Network { pub fn dispatch() {} }\n",
     );
 
-    fn pass(broker_src: &str) -> Vec<Finding> {
+    fn pass(net_src: &str) -> Vec<Finding> {
         let files = vec![
-            SourceFile::new(KERNEL.0, KERNEL.1),
-            SourceFile::new("crates/broker/src/x.rs", broker_src),
+            SourceFile::new(DELIVERY.0, DELIVERY.1),
+            SourceFile::new("crates/net/src/x.rs", net_src),
         ];
         let graph = CallGraph::build(&files);
         run(&files, &graph)
     }
 
     #[test]
-    fn guard_held_across_kernel_call_is_flagged() {
+    fn guard_held_across_delivery_call_is_flagged() {
         let got = pass(
-            "pub struct S { peers: TrackedMutex<u32> }\n\
+            "pub struct S { peers: Mutex<u32> }\n\
              impl S {\n\
                pub fn f(&self) {\n\
                  let g = self.peers.lock();\n\
-                 greenps_profile::k::pair_cardinalities();\n\
+                 greenps_simnet::n::Network::dispatch();\n\
                  drop(g);\n\
                }\n\
              }\n",
         );
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].message.contains("guard `g` on `peers`"));
-        assert!(got[0].message.contains("closeness kernel"));
+        assert!(got[0].message.contains("simnet delivery"));
     }
 
     #[test]
     fn dropping_the_guard_first_is_clean() {
         let got = pass(
-            "pub struct S { peers: TrackedMutex<u32> }\n\
+            "pub struct S { peers: Mutex<u32> }\n\
              impl S {\n\
                pub fn f(&self) {\n\
                  let g = self.peers.lock();\n\
                  drop(g);\n\
-                 greenps_profile::k::pair_cardinalities();\n\
+                 greenps_simnet::n::Network::dispatch();\n\
                }\n\
              }\n",
         );
@@ -356,11 +359,11 @@ mod tests {
     #[test]
     fn scope_exit_releases_the_guard() {
         let got = pass(
-            "pub struct S { peers: TrackedMutex<u32> }\n\
+            "pub struct S { peers: Mutex<u32> }\n\
              impl S {\n\
                pub fn f(&self) {\n\
                  { let g = self.peers.lock(); let _ = g; }\n\
-                 greenps_profile::k::pair_cardinalities();\n\
+                 greenps_simnet::n::Network::dispatch();\n\
                }\n\
              }\n",
         );
@@ -372,12 +375,12 @@ mod tests {
         // The lexical lock-order walk cannot see this: one path drops
         // `g`, the other keeps it live to the call. May-analysis joins.
         let got = pass(
-            "pub struct S { peers: TrackedRwLock<u32> }\n\
+            "pub struct S { peers: RwLock<u32> }\n\
              impl S {\n\
                pub fn f(&self, c: bool) {\n\
                  let g = self.peers.read();\n\
                  if c { drop(g); }\n\
-                 greenps_profile::k::pair_cardinalities();\n\
+                 greenps_simnet::n::Network::dispatch();\n\
                }\n\
              }\n",
         );
@@ -387,7 +390,7 @@ mod tests {
     #[test]
     fn transitive_crossing_via_a_local_helper_is_flagged() {
         let got = pass(
-            "pub struct S { peers: TrackedMutex<u32> }\n\
+            "pub struct S { peers: Mutex<u32> }\n\
              impl S {\n\
                pub fn f(&self) {\n\
                  let g = self.peers.lock();\n\
@@ -395,21 +398,33 @@ mod tests {
                  drop(g);\n\
                }\n\
              }\n\
-             pub fn helper() { greenps_profile::k::pair_cardinalities(); }\n",
+             pub fn helper() { greenps_simnet::n::Network::dispatch(); }\n",
         );
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].message.contains("helper"), "{got:?}");
-        assert!(got[0].message.contains("pair_cardinalities"), "{got:?}");
+        assert!(got[0].message.contains("Network::dispatch"), "{got:?}");
     }
 
     #[test]
-    fn untracked_locks_are_out_of_scope() {
+    fn arc_shared_locks_are_tracked() {
         let got = pass(
-            "pub struct S { peers: Mutex<u32> }\n\
+            "pub fn f(peers: Arc<Mutex<u32>>) {\n\
+               let g = peers.lock();\n\
+               greenps_simnet::n::Network::dispatch();\n\
+               drop(g);\n\
+             }\n",
+        );
+        assert_eq!(got.len(), 1, "{got:?}");
+    }
+
+    #[test]
+    fn non_lock_types_are_out_of_scope() {
+        let got = pass(
+            "pub struct S { peers: Journal<u32> }\n\
              impl S {\n\
                pub fn f(&self) {\n\
                  let g = self.peers.lock();\n\
-                 greenps_profile::k::pair_cardinalities();\n\
+                 greenps_simnet::n::Network::dispatch();\n\
                  drop(g);\n\
                }\n\
              }\n",

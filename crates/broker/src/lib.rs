@@ -8,16 +8,16 @@
 //!
 //! The [`deploy`] module provides the PANDA-style deployment harness the
 //! evaluation uses: build a topology, attach publishers/subscribers,
-//! warm up, gather, and measure.
+//! warm up, gather, and measure. [`netdeploy`] drives the same
+//! [`BrokerCore`] over any `greenps-net` transport, real loopback TCP
+//! included.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod audit;
 pub mod broker;
 pub mod client;
 pub mod deploy;
-pub mod live;
 pub mod logic;
 pub mod messages;
 pub mod netdeploy;

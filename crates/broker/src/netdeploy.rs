@@ -394,10 +394,7 @@ impl<E: Endpoint<BrokerMsg>> NetDeployment<E> {
     /// Polls every endpoint once, dispatching what arrives. Returns
     /// the number of events processed.
     fn sweep(&mut self, wait: Duration) -> usize {
-        let now = {
-            let us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            SimTime::from_micros(us)
-        };
+        let now = self.now();
         let mut processed = 0;
         for node in &mut self.brokers {
             while let Some(ev) = node
@@ -610,13 +607,34 @@ mod tests {
     }
 
     #[test]
-    fn bad_broker_id_is_rejected() {
-        let mut scenario = NetScenario::stock_chain(1, 1);
-        scenario.brokers[0].id = BrokerId::new(1 << 33);
-        let mut transport: SimTransport<BrokerMsg> = SimTransport::new();
-        assert!(matches!(
-            NetDeployment::build(&mut transport, &scenario),
-            Err(NetDeployError::BadScenario(_))
-        ));
+    fn bad_scenarios_are_typed_errors() {
+        const GHOST: BrokerId = BrokerId::new(7);
+        type Corrupt = fn(&mut NetScenario);
+        let cases: [(&str, Corrupt); 4] = [
+            ("broker id in the client range", |s| {
+                s.brokers[0].id = BrokerId::new(CLIENT_BASE << 1);
+            }),
+            ("edge to an unknown broker", |s| {
+                s.edges.push((BrokerId::new(0), GHOST));
+            }),
+            ("publisher at an unknown broker", |s| {
+                s.publishers[0].broker = GHOST;
+            }),
+            ("subscriber at an unknown broker", |s| {
+                s.subscribers[0].broker = GHOST;
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut scenario = NetScenario::stock_chain(2, 1);
+            corrupt(&mut scenario);
+            let mut transport: SimTransport<BrokerMsg> = SimTransport::new();
+            assert!(
+                matches!(
+                    NetDeployment::build(&mut transport, &scenario),
+                    Err(NetDeployError::BadScenario(_))
+                ),
+                "{what} must be rejected"
+            );
+        }
     }
 }

@@ -17,7 +17,8 @@
 //! *epoch-aware*: a node that restarts reopens its endpoint with a
 //! larger epoch, and receivers fence out every event still in flight
 //! from the older session (DESIGN.md §13.3). Frames larger than
-//! [`MAX_FRAME_LEN`] are rejected before any buffer grows, so a
+//! [`MAX_FRAME_LEN`] are rejected before any buffer grows, and below
+//! the cap the read buffer grows only as payload bytes arrive, so a
 //! corrupt or hostile length prefix cannot balloon memory.
 
 use std::io::{self, Read, Write};
@@ -28,6 +29,10 @@ pub const MAGIC: [u8; 4] = *b"GPN1";
 /// Hard ceiling on one frame's payload. The largest legitimate frame
 /// is a full-overlay BIA aggregate, far below this bound.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
+/// How far [`read_frame`] grows its buffer ahead of the bytes that
+/// have actually arrived.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Size of the fixed hello exchanged on connect, in bytes.
 pub const HELLO_LEN: usize = 17;
@@ -149,8 +154,16 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameErr
         return Err(FrameError::Oversized(len));
     }
     buf.clear();
-    buf.resize(n, 0);
-    r.read_exact(buf)?;
+    // Grow as bytes arrive: a bare length prefix commits at most one
+    // chunk beyond the buffer's existing capacity, so a header that
+    // lies about its length cannot pin `MAX_FRAME_LEN` bytes. A reused
+    // buffer that already fits the frame is filled by one `read_exact`.
+    while buf.len() < n {
+        let start = buf.len();
+        let step = (n - start).min(buf.capacity().saturating_sub(start).max(READ_CHUNK));
+        buf.resize(start + step, 0);
+        r.read_exact(buf.get_mut(start..).unwrap_or(&mut []))?;
+    }
     Ok(true)
 }
 
@@ -198,21 +211,23 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_eof_is_clean() {
+        // The large payload spans several read chunks, first into a
+        // growing buffer, then into the reused one.
+        let big: Vec<u8> = (0..3 * READ_CHUNK + 5).map(|i| i as u8).collect();
+        let payloads = [&b"hello"[..], b"", &big, b"greenps", &big];
         let mut wire = Vec::new();
         let mut scratch = Vec::new();
-        for payload in [&b"hello"[..], b"", b"greenps"] {
+        for payload in payloads {
             begin_frame(&mut scratch);
             scratch.extend_from_slice(payload);
             write_frame(&mut wire, &mut scratch).unwrap();
         }
         let mut r = wire.as_slice();
         let mut buf = Vec::new();
-        assert!(read_frame(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"hello");
-        assert!(read_frame(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"");
-        assert!(read_frame(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"greenps");
+        for payload in payloads {
+            assert!(read_frame(&mut r, &mut buf).unwrap());
+            assert_eq!(buf, payload);
+        }
         assert!(!read_frame(&mut r, &mut buf).unwrap(), "clean EOF");
     }
 
@@ -225,6 +240,18 @@ mod tests {
             Err(FrameError::Oversized(_))
         ));
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn lying_length_prefix_does_not_pin_the_declared_size() {
+        let mut wire = u32::try_from(MAX_FRAME_LEN).unwrap().to_le_bytes().to_vec();
+        wire.extend_from_slice(b"abc");
+        let mut buf = Vec::new();
+        match read_frame(&mut wire.as_slice(), &mut buf) {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
+        }
+        assert!(buf.capacity() < 64 * 1024, "capacity {}", buf.capacity());
     }
 
     #[test]

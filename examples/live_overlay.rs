@@ -1,21 +1,21 @@
-//! Execute a CROC plan on the live threaded runtime: plan against ideal
-//! profiles, spawn one OS thread per allocated broker, wire the overlay
-//! edges, and stream real publications through it.
+//! Execute a CROC plan on real loopback TCP: plan against ideal
+//! profiles, open one endpoint per allocated broker and client, wire
+//! the overlay edges, and stream real publications through it.
 //!
 //! ```sh
 //! cargo run --release --example live_overlay
 //! ```
 
-use greenps::broker::live::LiveNet;
+use greenps::broker::{NetDeployment, NetPublisher, NetScenario, NetSubscriber};
 use greenps::core::croc::{plan, PlanConfig};
-use greenps::core::pipeline::ReconfigContext;
+use greenps::core::pipeline::{CancelToken, ReconfigContext};
 use greenps::profile::ClosenessMetric;
 use greenps::pubsub::filter::stock_advertisement;
-use greenps::pubsub::ids::{AdvId, MsgId};
+use greenps::pubsub::ids::{AdvId, ClientId, MsgId};
 use greenps::pubsub::message::{Advertisement, Subscription};
 use greenps_bench::ideal_input;
+use greenps_net::TcpTransport;
 use greenps_workload::{ScenarioBuilder, Topology};
-use std::time::Duration;
 
 fn main() {
     // Plan offline from ideal profiles.
@@ -25,8 +25,12 @@ fn main() {
         .build();
     scenario.brokers.truncate(24);
     let input = ideal_input(&scenario);
-    let ctx = ReconfigContext::new();
-    let plan = plan(&input, &PlanConfig::cram(ClosenessMetric::Ios), &ctx).expect("plan");
+    let plan = plan(
+        &input,
+        &PlanConfig::cram(ClosenessMetric::Ios),
+        &ReconfigContext::new(),
+    )
+    .expect("plan");
     println!(
         "plan: {} brokers (of {}), root {}",
         plan.broker_count(),
@@ -34,62 +38,62 @@ fn main() {
         plan.overlay.root()
     );
 
-    // Spawn the overlay live.
-    let brokers: Vec<_> = plan.overlay.nodes().map(|n| n.broker).collect();
-    let edges: Vec<_> = plan.overlay.edges().collect();
-    let mut net = LiveNet::start(&brokers, &edges, &ctx).expect("start live net");
-    std::thread::sleep(Duration::from_millis(50));
+    // The planned overlay; publishers at their GRAPE homes with a
+    // pre-generated burst of 20 quotes each; the first 50 subscriptions
+    // at their allocated brokers.
+    let net = NetScenario {
+        brokers: scenario
+            .brokers
+            .iter()
+            .filter(|b| plan.overlay.node(b.id).is_some())
+            .cloned()
+            .collect(),
+        edges: plan.overlay.edges().collect(),
+        publishers: scenario
+            .stocks
+            .iter()
+            .enumerate()
+            .map(|(i, stock)| {
+                let adv = AdvId::new(i as u64 + 1);
+                NetPublisher {
+                    client: ClientId::new(i as u64 + 1),
+                    broker: plan
+                        .publisher_homes
+                        .get(&adv)
+                        .copied()
+                        .unwrap_or(plan.overlay.root()),
+                    advertisement: Advertisement::new(adv, stock_advertisement(&stock.symbol)),
+                    publications: (0..20)
+                        .map(|m| stock.publication(adv, MsgId::new(m)))
+                        .collect(),
+                }
+            })
+            .collect(),
+        subscribers: scenario
+            .subs
+            .iter()
+            .take(50)
+            .map(|sub| NetSubscriber {
+                client: ClientId::new(1_000 + sub.id.raw()),
+                broker: plan.subscription_homes[&sub.id],
+                subscription: Subscription::new(sub.id, sub.filter.clone()),
+            })
+            .collect(),
+    };
+    let report = NetDeployment::build(&mut TcpTransport::new(), &net)
+        .expect("build overlay")
+        .run(&CancelToken::new())
+        .expect("run overlay");
 
-    // Publishers at their GRAPE homes; subscribers at their allocated
-    // brokers (we attach the first 50 subscriptions for the demo).
-    let mut publishers = Vec::new();
-    for (i, stock) in scenario.stocks.iter().enumerate() {
-        let adv = AdvId::new(i as u64 + 1);
-        let home = plan
-            .publisher_homes
-            .get(&adv)
-            .copied()
-            .unwrap_or(plan.overlay.root());
-        publishers.push((
-            net.publisher(
-                home,
-                Advertisement::new(adv, stock_advertisement(&stock.symbol)),
-            )
-            .expect("attach publisher"),
-            stock.clone(),
-        ));
-    }
-    std::thread::sleep(Duration::from_millis(50));
-    let mut inboxes = Vec::new();
-    for sub in scenario.subs.iter().take(50) {
-        let home = plan.subscription_homes[&sub.id];
-        inboxes.push(
-            net.subscriber(home, Subscription::new(sub.id, sub.filter.clone()))
-                .expect("attach subscriber"),
-        );
-    }
-    std::thread::sleep(Duration::from_millis(100));
-
-    // Publish a burst of quotes from every publisher.
-    for m in 0..20u64 {
-        for (p, stock) in &publishers {
-            p.publish(stock.publication(p.adv_id, MsgId::new(m)));
-        }
-    }
-    std::thread::sleep(Duration::from_millis(300));
-
-    let mut delivered = 0usize;
-    for inbox in &inboxes {
-        while inbox.try_recv().is_ok() {
-            delivered += 1;
-        }
-    }
-    let stats = net.shutdown().expect("clean shutdown");
-    let forwarded: u64 = stats.values().map(|s| s.msgs_out).sum();
+    let matched: u64 = report.broker_stats.values().map(|s| s.matched).sum();
     println!(
-        "delivered {delivered} publications to 50 live subscribers \
-         ({forwarded} broker messages across {} threads)",
-        stats.len()
+        "published {} quotes; delivered {} to {} subscribers over loopback TCP \
+         ({matched} broker matches across {} brokers, {:.0} ms)",
+        report.published,
+        report.total_delivered(),
+        net.subscribers.len(),
+        report.broker_stats.len(),
+        report.elapsed.as_secs_f64() * 1e3
     );
-    assert!(delivered > 0, "live overlay must deliver");
+    assert!(report.total_delivered() > 0, "the overlay must deliver");
 }
