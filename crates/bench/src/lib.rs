@@ -119,27 +119,27 @@ pub fn check_input(input: &AllocationInput) {
     let _ = SubId::new(0);
 }
 
-/// Runs the reference closeness engine (per-profile layout, no tiling,
-/// one thread — the bit-exact baseline) against the tuned engine
-/// (contiguous arena layout, tiled pair evaluation, `threads` workers)
+/// Runs the CRAM oracle ([`CramBuilder::run_reference`]: per-profile
+/// pair walks, no tiling, one thread) against the production engine
+/// (contiguous arena, tiled pair evaluation, `threads` workers)
 /// for CRAM-INTERSECT at each subscription count and renders the
 /// `BENCH_cram.json` report body. The key vocabulary of the emitted
 /// JSON is declared as `benchkey` entries in
 /// `analysis/telemetry-schema.txt` and checked by
 /// `tests/experiments_smoke.rs` — keep the three in sync.
 ///
-/// `sequential_ms` times the reference engine; `parallel_ms` times the
-/// tuned one. `effective_threads` reports how many workers the tuned
-/// run could actually use on this machine (`available_parallelism`
-/// caps the request — a single-core box runs the tuned engine's layout
-/// and tiling wins, but no thread-level ones).
+/// `sequential_ms` times the oracle; `parallel_ms` times production.
+/// `effective_threads` reports how many workers the tuned run could
+/// actually use on this machine (`available_parallelism` caps the
+/// request — a single-core box runs the tuned engine's layout and
+/// tiling wins, but no thread-level ones).
 ///
 /// # Panics
 /// Panics when CRAM fails on a generated scenario or the tuned run is
 /// not bit-identical to the reference (allocation and every stat except
 /// `closeness_computations`, which tiling may only lower).
 pub fn bench_report_json(sizes: &[usize], threads: usize, quick: bool) -> String {
-    use greenps_core::cram::{Layout, DEFAULT_TILE};
+    use greenps_core::cram::DEFAULT_TILE;
     let available = greenps_core::engine::available_threads();
     let effective_threads = threads.max(1).min(available);
     let mut runs = Vec::new();
@@ -154,15 +154,11 @@ pub fn bench_report_json(sizes: &[usize], threads: usize, quick: bool) -> String
         let input = ideal_input(&scenario);
         let t0 = Instant::now();
         let (ref_alloc, ref_stats) = CramBuilder::new(ClosenessMetric::Intersect)
-            .layout(Layout::PerProfile)
-            .tile(0)
-            .run(&input)
+            .run_reference(&input)
             .expect("reference CRAM");
         let sequential_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
         let (tuned_alloc, tuned_stats) = CramBuilder::new(ClosenessMetric::Intersect)
-            .layout(Layout::Arena { stride: 0 })
-            .tile(DEFAULT_TILE)
             .threads(threads)
             .run(&input)
             .expect("tuned CRAM");

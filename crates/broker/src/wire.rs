@@ -166,6 +166,25 @@ fn read_envelope(r: &mut WireReader<'_>) -> Result<PubEnvelope, WireError> {
 
 // --- profiles --------------------------------------------------------
 
+/// Largest bit-vector or profile capacity the decoder accepts, in bits:
+/// 51× the paper's 1,280-bit default. `ShiftingBitVector::starting_at`
+/// allocates `capacity / 64` words up front, so an unchecked capacity
+/// read off the wire could demand terabytes.
+const MAX_CAPACITY_BITS: u64 = 1 << 16;
+
+/// Reads a capacity: zero is a domain error, above
+/// [`MAX_CAPACITY_BITS`] an implausible length.
+fn read_capacity(r: &mut WireReader<'_>) -> Result<usize, WireError> {
+    let cap64 = r.u64()?;
+    if cap64 == 0 {
+        return Err(WireError::BadValue);
+    }
+    if cap64 > MAX_CAPACITY_BITS {
+        return Err(WireError::BadLength(cap64));
+    }
+    usize::try_from(cap64).map_err(|_| WireError::BadLength(cap64))
+}
+
 fn put_bitvec(out: &mut Vec<u8>, v: &ShiftingBitVector) {
     put_u64(out, v.capacity() as u64);
     put_u64(out, v.first_id());
@@ -176,15 +195,13 @@ fn put_bitvec(out: &mut Vec<u8>, v: &ShiftingBitVector) {
 }
 
 fn read_bitvec(r: &mut WireReader<'_>) -> Result<ShiftingBitVector, WireError> {
-    let cap64 = r.u64()?;
-    let capacity = usize::try_from(cap64).map_err(|_| WireError::BadLength(cap64))?;
-    if capacity == 0 {
-        return Err(WireError::BadValue);
-    }
+    let capacity = read_capacity(r)?;
     let first_id = r.u64()?;
     // The window end must not overflow: `window_end()` computes
     // `first_id + capacity` internally.
-    let end = first_id.checked_add(cap64).ok_or(WireError::BadValue)?;
+    let end = first_id
+        .checked_add(capacity as u64)
+        .ok_or(WireError::BadValue)?;
     let n = r.seq_len()?;
     let mut v = ShiftingBitVector::starting_at(capacity, first_id);
     for _ in 0..n {
@@ -207,11 +224,7 @@ fn put_profile(out: &mut Vec<u8>, p: &SubscriptionProfile) {
 }
 
 fn read_profile(r: &mut WireReader<'_>) -> Result<SubscriptionProfile, WireError> {
-    let cap64 = r.u64()?;
-    let capacity = usize::try_from(cap64).map_err(|_| WireError::BadLength(cap64))?;
-    if capacity == 0 {
-        return Err(WireError::BadValue);
-    }
+    let capacity = read_capacity(r)?;
     let n = r.seq_len()?;
     let mut p = SubscriptionProfile::with_capacity(capacity);
     for _ in 0..n {
@@ -477,5 +490,38 @@ mod tests {
         put_seq_len(&mut buf, 0);
         let mut r = WireReader::new(&buf);
         assert!(matches!(read_bitvec(&mut r), Err(WireError::BadValue)));
+    }
+
+    #[test]
+    fn hostile_capacity_is_rejected_before_allocating() {
+        // 2^44 bits would make `starting_at` allocate 2^38 words.
+        let mut bitvec = Vec::new();
+        put_u64(&mut bitvec, 1 << 44); // capacity
+        put_u64(&mut bitvec, 0); // first_id
+        put_seq_len(&mut bitvec, 0);
+        let mut r = WireReader::new(&bitvec);
+        assert!(matches!(
+            read_bitvec(&mut r),
+            Err(WireError::BadLength(n)) if n == 1 << 44
+        ));
+
+        let mut profile = Vec::new();
+        put_u64(&mut profile, u64::MAX); // capacity
+        put_seq_len(&mut profile, 0);
+        let mut r = WireReader::new(&profile);
+        assert!(matches!(
+            read_profile(&mut r),
+            Err(WireError::BadLength(u64::MAX))
+        ));
+
+        // The bound itself still decodes.
+        let mut edge = Vec::new();
+        put_u64(&mut edge, MAX_CAPACITY_BITS);
+        put_u64(&mut edge, 7);
+        put_seq_len(&mut edge, 1);
+        put_u64(&mut edge, 9);
+        let v = read_bitvec(&mut WireReader::new(&edge)).expect("bound decodes");
+        assert_eq!(v.capacity() as u64, MAX_CAPACITY_BITS);
+        assert!(v.contains(9));
     }
 }

@@ -310,7 +310,7 @@ struct FastBroker {
 /// counter; per-(broker, publisher) union windows live in reusable
 /// [`FastSlot`]s with cached popcounts, so a placement probe costs one
 /// streaming [`ShiftingBitVector::pair_cardinalities`] pass instead of
-/// a `count_ones` walk plus an `or_count` walk.
+/// a `count_ones` walk plus a separate union-count walk.
 ///
 /// The acceptance decisions are bit-identical to
 /// [`RefPacker::pack_sorted`] over the same unit order: the broker

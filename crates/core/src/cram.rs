@@ -33,31 +33,27 @@
 //! pairs keep their entries because the underlying profiles never
 //! changed.
 //!
-//! Two further engine knobs shape *how* (never *what*) the answer is
-//! computed:
-//!
-//! * [`CramBuilder::layout`] picks the profile storage
-//!   ([`Layout::Arena`], the default, packs every per-publisher bit
-//!   window into one contiguous [`greenps_profile::BitsetArena`] and
-//!   runs the allocation tests on a persistent incremental packer;
-//!   [`Layout::PerProfile`] is the byte-exact legacy reference path);
-//! * [`CramBuilder::tile`] groups GIF keys into fixed-width tiles whose
-//!   OR-summary profiles let the poset scan reject a whole tile of
-//!   candidates with a single intersect pass.
-//!
-//! Both knobs preserve the allocation and [`CramStats`] bit-for-bit,
-//! except that tiling (by design) lowers `closeness_computations`.
+//! There is one production engine and one oracle. Production stores
+//! every per-publisher bit window in one contiguous
+//! [`greenps_profile::BitsetArena`] ([`ArenaKernel`]), rejects whole
+//! tiles of [`DEFAULT_TILE`] GIF keys with one summary intersect, and
+//! runs the allocation tests on a persistent incremental packer.
+//! [`CramBuilder::run_reference`] is the paper-literal oracle the
+//! production path is proven against: sequential, per-profile pair
+//! walks, no tiles, and a re-sorting [`RefPacker`] per allocation
+//! test. Both give the same allocation and [`CramStats`], except that
+//! tiling (by design) lowers `closeness_computations`.
 //!
 //! Entry point: [`CramBuilder`].
 
 use crate::capacity::{pack_order, FastPacker, RefPacker};
-use crate::engine::{shard_map_scratch, CacheConfig, PairCache};
+use crate::engine::{shard_map_scratch, PairCache};
 use crate::model::{AllocError, Allocation, AllocationInput, BrokerLoad, Unit};
 use crate::pipeline::CancelToken;
 use crate::sorting::{bin_packing_units, units_from_input};
 use greenps_profile::{
-    ArenaKernel, Closeness, ClosenessKernel, ClosenessMetric, PerProfileKernel, Poset,
-    PublisherTable, Relation, ShiftingBitVector, SubscriptionProfile, DEFAULT_CAPACITY,
+    ArenaKernel, Closeness, ClosenessMetric, PairCardinalities, Poset, PublisherTable, Relation,
+    ShiftingBitVector, SubscriptionProfile, DEFAULT_CAPACITY,
 };
 use greenps_pubsub::ids::{AdvId, BrokerId};
 use greenps_telemetry::{EventSink, Histogram, Registry, Span};
@@ -69,39 +65,21 @@ pub(crate) type GifKey = u64;
 /// Key of a unit inside the CRAM pool.
 type UnitKey = u64;
 
-/// How the closeness engine stores GIF profiles.
-///
-/// The choice never changes the allocation or any [`CramStats`] field —
-/// both layouts route every metric evaluation through the same
-/// word-level popcount — it only changes memory behaviour and speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// One heap-allocated profile clone per GIF — the legacy layout,
-    /// kept as the bit-exact reference the arena is proven against.
-    /// Allocation tests re-sort and re-pack from scratch.
-    PerProfile,
-    /// Every per-publisher bit window packed into one contiguous
-    /// fixed-stride [`greenps_profile::BitsetArena`], so a pair
-    /// evaluation is a streaming popcount over adjacent rows with zero
-    /// allocations. Allocation tests run on a persistent packer over an
-    /// incrementally-maintained unit order.
-    Arena {
-        /// Row stride in bits. `0` (the default) sizes the stride
-        /// automatically from the widest window in the initial pool;
-        /// windows wider than the stride fall back to a side store, so
-        /// any value is correct.
-        stride: usize,
-    },
-}
-
-impl Default for Layout {
-    fn default() -> Self {
-        Layout::Arena { stride: 0 }
-    }
-}
-
 /// Default tile width (GIF keys per tile) for whole-tile pruning.
 pub const DEFAULT_TILE: usize = 64;
+
+/// Which of CRAM's two computations a run takes.
+#[derive(Debug, Clone, Copy)]
+enum EnginePath {
+    /// Arena kernel, tiles of `tile` GIF keys (`0` disables), and the
+    /// persistent fast packer. Every public run but
+    /// [`CramBuilder::run_reference`] uses [`DEFAULT_TILE`]; in-crate
+    /// tests vary the width.
+    Production { tile: usize },
+    /// The oracle: per-profile pair walks over the GIF profiles, no
+    /// tiles, one thread, and a re-sorting [`RefPacker`] per test.
+    Reference,
+}
 
 /// CRAM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -115,26 +93,17 @@ pub struct CramConfig {
     /// Worker threads for the closest-pair search (1 = sequential).
     /// Results are bit-identical for every value.
     pub threads: usize,
-    /// Profile storage layout for the closeness engine.
-    pub layout: Layout,
-    /// Tile width for whole-tile candidate rejection (`0` disables).
-    pub tile: usize,
-    /// Pair-closeness cache configuration.
-    pub cache: CacheConfig,
 }
 
 impl CramConfig {
     /// The paper's default configuration for a metric: all optimizations
-    /// on, sequential search, arena layout with tiled pruning.
+    /// on, sequential search.
     pub fn with_metric(metric: ClosenessMetric) -> Self {
         Self {
             metric,
             one_to_many: true,
             poset_pruning: true,
             threads: 1,
-            layout: Layout::default(),
-            tile: DEFAULT_TILE,
-            cache: CacheConfig::default(),
         }
     }
 }
@@ -310,9 +279,10 @@ struct Pool {
     /// decisions anywhere in the merge loop.
     by_profile: BTreeMap<SubscriptionProfile, GifKey>,
     poset: Poset<GifKey>,
-    /// Batch cardinality provider over the live GIF profiles — the
-    /// layout-specific half of every metric evaluation.
-    kernel: Box<dyn ClosenessKernel>,
+    /// Arena copy of the live GIF profiles that production pair
+    /// evaluations stream through; `None` on the reference path, which
+    /// walks `gifs` directly.
+    kernel: Option<ArenaKernel>,
     /// Tile summaries for whole-tile rejection (inert when `tile` is 0).
     tiles: TileIndex,
     next_unit: UnitKey,
@@ -320,27 +290,20 @@ struct Pool {
 }
 
 impl Pool {
-    fn build(
-        units: Vec<Unit>,
-        layout: Layout,
-        tile: usize,
-        cancel: &CancelToken,
-    ) -> Result<Self, AllocError> {
-        let kernel: Box<dyn ClosenessKernel> = match layout {
-            Layout::PerProfile => Box::new(PerProfileKernel::new()),
-            Layout::Arena { stride } => {
-                let stride = if stride == 0 {
-                    units
-                        .iter()
-                        .flat_map(|u| u.profile.iter())
-                        .map(|(_, v)| v.capacity())
-                        .max()
-                        .unwrap_or(DEFAULT_CAPACITY)
-                } else {
-                    stride
-                };
-                Box::new(ArenaKernel::new(stride))
+    fn build(units: Vec<Unit>, path: EnginePath, cancel: &CancelToken) -> Result<Self, AllocError> {
+        let (kernel, tile) = match path {
+            EnginePath::Production { tile } => {
+                // The widest window in the input sizes the row stride,
+                // so the arena's oversize side store stays empty.
+                let stride = units
+                    .iter()
+                    .flat_map(|u| u.profile.iter())
+                    .map(|(_, v)| v.capacity())
+                    .max()
+                    .unwrap_or(DEFAULT_CAPACITY);
+                (Some(ArenaKernel::new(stride)), tile)
             }
+            EnginePath::Reference => (None, 0),
         };
         let mut pool = Pool {
             units: BTreeMap::new(),
@@ -378,7 +341,9 @@ impl Pool {
                     },
                 );
                 self.poset.insert(gk, unit.profile.clone());
-                self.kernel.insert(gk, &unit.profile);
+                if let Some(kernel) = &mut self.kernel {
+                    kernel.insert(gk, &unit.profile);
+                }
                 self.tiles.on_insert(gk);
                 gk
             }
@@ -412,7 +377,9 @@ impl Pool {
             let gif = self.gifs.remove(&gk).expect("gif fetched above");
             self.by_profile.remove(&gif.profile);
             self.poset.remove(gk);
-            self.kernel.remove(gk);
+            if let Some(kernel) = &mut self.kernel {
+                kernel.remove(gk);
+            }
             self.tiles.on_remove(gk);
             (unit, true)
         } else {
@@ -424,12 +391,24 @@ impl Pool {
     fn lightest(&self, gk: GifKey) -> UnitKey {
         self.gifs[&gk].units[0]
     }
+
+    /// Pair cardinalities of two live GIFs: one arena pass in
+    /// production, the per-profile walk on the reference path. Both run
+    /// the same word-level routine, so the results are equal.
+    fn pair_cardinalities(&self, a: GifKey, b: GifKey) -> PairCardinalities {
+        match &self.kernel {
+            Some(kernel) => kernel.pair_cardinalities(a, b),
+            None => self.gifs[&a]
+                .profile
+                .pair_cardinalities(&self.gifs[&b].profile),
+        }
+    }
 }
 
 /// The closeness measure a [`CramBuilder`] clusters with: one of the
 /// paper's metrics, or a borrowed user-supplied measure.
 ///
-/// Built-in metrics evaluate through the pool's [`ClosenessKernel`]
+/// Built-in metrics evaluate through [`Pool::pair_cardinalities`]
 /// (one batch popcount pass + scalar arithmetic); custom measures see
 /// whole profiles, as their trait contract promises.
 #[derive(Clone, Copy)]
@@ -444,7 +423,8 @@ enum MeasureRef<'a> {
 /// `cram_units_custom` trio did: a paper metric ([`CramBuilder::new`])
 /// or a custom [`Closeness`] measure ([`CramBuilder::custom`]), the
 /// O2/O3 optimization toggles, and the parallel closest-pair search
-/// ([`CramBuilder::threads`]).
+/// ([`CramBuilder::threads`]). [`CramBuilder::run_reference`] runs the
+/// same configuration through the test oracle.
 ///
 /// ```
 /// use greenps_core::cram::CramBuilder;
@@ -464,25 +444,19 @@ pub struct CramBuilder<'a> {
     one_to_many: bool,
     poset_pruning: bool,
     threads: usize,
-    layout: Layout,
-    tile: usize,
-    cache: CacheConfig,
     telemetry: Registry,
     cancel: CancelToken,
 }
 
 impl<'a> CramBuilder<'a> {
     /// CRAM with a paper metric, all optimizations on, sequential
-    /// search, arena layout with tiled pruning.
+    /// search.
     pub fn new(metric: ClosenessMetric) -> Self {
         CramBuilder {
             measure: MeasureRef::Metric(metric),
             one_to_many: true,
             poset_pruning: true,
             threads: 1,
-            layout: Layout::default(),
-            tile: DEFAULT_TILE,
-            cache: CacheConfig::default(),
             telemetry: Registry::disabled(),
             cancel: CancelToken::never(),
         }
@@ -496,9 +470,6 @@ impl<'a> CramBuilder<'a> {
             one_to_many: true,
             poset_pruning: true,
             threads: 1,
-            layout: Layout::default(),
-            tile: DEFAULT_TILE,
-            cache: CacheConfig::default(),
             telemetry: Registry::disabled(),
             cancel: CancelToken::never(),
         }
@@ -512,41 +483,9 @@ impl<'a> CramBuilder<'a> {
             one_to_many: config.one_to_many,
             poset_pruning: config.poset_pruning,
             threads: config.threads,
-            layout: config.layout,
-            tile: config.tile,
-            cache: config.cache,
             telemetry: Registry::disabled(),
             cancel: CancelToken::never(),
         }
-    }
-
-    /// Selects the profile storage layout. [`Layout::Arena`] (the
-    /// default) runs the contiguous-popcount kernel and the persistent
-    /// fast packer; [`Layout::PerProfile`] runs the legacy reference
-    /// path. The allocation and stats are bit-identical either way.
-    #[must_use]
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Tile width for whole-tile candidate rejection during the poset
-    /// scan (`0` disables tiling). Only `closeness_computations` can
-    /// change — the allocation and every other stat stay bit-identical,
-    /// because a rejected tile is exactly a set of candidates whose
-    /// closeness is provably zero.
-    #[must_use]
-    pub fn tile(mut self, tile: usize) -> Self {
-        self.tile = tile;
-        self
-    }
-
-    /// Pair-closeness cache configuration (entry budget + invalidation
-    /// policy).
-    #[must_use]
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// Threads a cancellation token into the run: the merge loop, the
@@ -612,6 +551,34 @@ impl<'a> CramBuilder<'a> {
         input: &AllocationInput,
         units: Vec<Unit>,
     ) -> Result<(Allocation, CramStats), AllocError> {
+        let path = EnginePath::Production { tile: DEFAULT_TILE };
+        self.execute(input, units, path)
+    }
+
+    /// Runs CRAM through the oracle: the paper-literal computation the
+    /// production engine is proven against. It runs sequentially
+    /// whatever [`CramBuilder::threads`] says, evaluates every pair by
+    /// walking the two GIF profiles, never tiles, and re-sorts and
+    /// re-packs from scratch per allocation test. The allocation and
+    /// every [`CramStats`] field match [`CramBuilder::run`], except
+    /// `closeness_computations`, which tiling lowers in production.
+    ///
+    /// # Errors
+    /// Fails when even the unclustered BIN PACKING allocation is
+    /// infeasible.
+    pub fn run_reference(
+        &self,
+        input: &AllocationInput,
+    ) -> Result<(Allocation, CramStats), AllocError> {
+        self.execute(input, units_from_input(input), EnginePath::Reference)
+    }
+
+    fn execute(
+        &self,
+        input: &AllocationInput,
+        units: Vec<Unit>,
+        path: EnginePath,
+    ) -> Result<(Allocation, CramStats), AllocError> {
         let span = Span::enter(&self.telemetry, "cram.run");
         let mut stats = CramStats {
             subscriptions: units.iter().map(Unit::sub_count).sum(),
@@ -626,15 +593,14 @@ impl<'a> CramBuilder<'a> {
             &self.cancel,
         )?;
 
-        let pool = Pool::build(units, self.layout, self.tile, &self.cancel)?;
+        let pool = Pool::build(units, path, &self.cancel)?;
         stats.initial_gifs = pool.gifs.len();
-        // The arena layout carries a persistent packer over an
-        // incrementally-maintained pack-order unit list; the
-        // per-profile layout re-packs from scratch per test — the
-        // byte-exact reference path the fast path is proven against.
-        let pack = match self.layout {
-            Layout::PerProfile => PackPath::Reference,
-            Layout::Arena { .. } => {
+        // Production carries a persistent packer over an
+        // incrementally-maintained pack-order unit list; the oracle
+        // re-packs from scratch per test.
+        let (pack, threads) = match path {
+            EnginePath::Reference => (PackPath::Reference, 1),
+            EnginePath::Production { .. } => {
                 let mut order: Vec<PackEntry> = pool
                     .units
                     .iter()
@@ -644,10 +610,8 @@ impl<'a> CramBuilder<'a> {
                     })
                     .collect();
                 order.sort_by(|a, b| pack_order(&a.unit, &b.unit));
-                PackPath::Fast {
-                    packer: FastPacker::new(&input.brokers, &input.publishers),
-                    order,
-                }
+                let packer = FastPacker::new(&input.brokers, &input.publishers);
+                (PackPath::Fast { packer, order }, self.threads)
             }
         };
         // The fast path keeps only the packing *recipe* of the best
@@ -669,13 +633,13 @@ impl<'a> CramBuilder<'a> {
             measure: self.measure,
             one_to_many: self.one_to_many,
             poset_pruning: self.poset_pruning,
-            threads: self.threads,
+            threads,
             publishers: &input.publishers,
             brokers: &input.brokers,
             partners: BTreeMap::new(),
             stale: BTreeSet::new(),
             blacklist: BTreeSet::new(),
-            cache: PairCache::with_config(self.cache),
+            cache: PairCache::default(),
             stats,
             best,
             pack,
@@ -762,7 +726,7 @@ struct Engine<'a> {
     cache: PairCache<GifKey>,
     stats: CramStats,
     best: BestAlloc,
-    /// How the allocation tests pack (layout-selected).
+    /// How the allocation tests pack.
     pack: PackPath,
     /// Whole-tile summary checks performed (telemetry only).
     tile_checks: u64,
@@ -797,13 +761,12 @@ struct PackEntry {
 /// How [`Engine::test_and_record`] runs the allocation test.
 enum PackPath {
     /// Collect, re-sort, and re-pack from scratch on every test — the
-    /// original implementation, kept byte-for-byte as the reference
-    /// path ([`Layout::PerProfile`]).
+    /// oracle's packing ([`CramBuilder::run_reference`]).
     Reference,
     /// A persistent [`FastPacker`] (epoch-reset broker/union state)
     /// fed from an incrementally-maintained [`pack_order`]-sorted unit
     /// list, so a test performs no sorting and no per-test allocations
-    /// ([`Layout::Arena`]).
+    /// (production).
     Fast {
         packer: FastPacker,
         /// Live pool units sorted by [`pack_order`], maintained by
@@ -813,7 +776,7 @@ enum PackPath {
 }
 
 /// The best allocation seen so far. The reference path stores it fully
-/// materialized after every improvement (the legacy behaviour); the
+/// materialized after every improvement (the oracle's behaviour); the
 /// fast path stores only the packing *recipe* — which broker got which
 /// units, in placement order — and materializes once when the run
 /// ends. Replaying the recipe performs the same profile unions,
@@ -976,11 +939,10 @@ fn scan_partner(
             return c;
         }
         *computations += 1;
-        // Built-in metrics: one batch popcount pass through the
-        // layout's kernel (arena rows or per-profile clones — same
-        // cardinalities by construction), then scalar arithmetic.
+        // Built-in metrics: one batch popcount pass, then scalar
+        // arithmetic.
         let c = match measure {
-            MeasureRef::Metric(m) => m.from_cardinalities(pool.kernel.pair_cardinalities(g, cand)),
+            MeasureRef::Metric(m) => m.from_cardinalities(pool.pair_cardinalities(g, cand)),
             MeasureRef::Custom(m) => m.closeness(g_profile, profile),
         };
         computed.push((g, cand, c));
@@ -1225,7 +1187,7 @@ impl Engine<'_> {
     }
 
     /// Closeness of two ad-hoc profiles (CGS unions and the like) —
-    /// these never live in the kernel, so built-in metrics take the
+    /// these never live in the arena, so built-in metrics take the
     /// per-profile pass here (same `f64` by construction).
     fn closeness(&mut self, a: &SubscriptionProfile, b: &SubscriptionProfile) -> f64 {
         self.stats.closeness_computations += 1;
@@ -1242,9 +1204,7 @@ impl Engine<'_> {
         }
         self.stats.closeness_computations += 1;
         let c = match self.measure {
-            MeasureRef::Metric(m) => {
-                m.from_cardinalities(self.pool.kernel.pair_cardinalities(g, h))
-            }
+            MeasureRef::Metric(m) => m.from_cardinalities(self.pool.pair_cardinalities(g, h)),
             MeasureRef::Custom(m) => {
                 m.closeness(&self.pool.gifs[&g].profile, &self.pool.gifs[&h].profile)
             }
@@ -1367,10 +1327,9 @@ impl Engine<'_> {
         if g == h {
             return self.attempt_equal(g);
         }
-        // One kernel pass classifies the pair — same decision procedure
-        // as `SubscriptionProfile::relationship`, on whichever layout
-        // the profiles live in.
-        let rel = Relation::from_cardinalities(self.pool.kernel.pair_cardinalities(g, h));
+        // One cardinality pass classifies the pair — the same decision
+        // procedure as `SubscriptionProfile::relationship`.
+        let rel = Relation::from_cardinalities(self.pool.pair_cardinalities(g, h));
         match rel {
             Relation::Equal => self.attempt_equal(g),
             Relation::Superset => self.attempt_covering(g, h),
@@ -1424,7 +1383,7 @@ impl Engine<'_> {
         let k = lo;
         if matches!(self.pack, PackPath::Reference) {
             // Re-run the winning size so `best` reflects the committed
-            // pool (legacy behaviour, byte-for-byte). The fast path
+            // pool (the oracle's behaviour, byte-for-byte). The fast path
             // skips this: the last successful probe was exactly size
             // `k` — probes only raise `lo` on success and the pool is
             // frozen during the search — so its recipe is already
@@ -1474,7 +1433,7 @@ impl Engine<'_> {
         }
         let m = lo;
         if matches!(self.pack, PackPath::Reference) {
-            // Legacy re-pack of the winning size; the fast path's last
+            // The oracle re-packs the winning size; the fast path's last
             // successful probe was exactly size `m`, so its recipe is
             // already recorded (see attempt_equal).
             assert!(feasible(self, m));
@@ -1953,7 +1912,7 @@ mod tests {
         let units = crate::sorting::units_from_input(input);
         let baseline =
             bin_packing_units(&input.brokers, &input.publishers, units.clone(), &never()).unwrap();
-        let pool = Pool::build(units, Layout::PerProfile, 0, &never()).unwrap();
+        let pool = Pool::build(units, EnginePath::Reference, &never()).unwrap();
         let mut engine = Engine {
             pool,
             cancel: never(),
@@ -2131,12 +2090,26 @@ mod tests {
         }
     }
 
-    /// Layout and tile are pure performance knobs: the allocation is
-    /// bit-identical to the per-profile reference, and every stat
-    /// except `closeness_computations` (which tiling may lower, never
-    /// raise) matches exactly.
+    /// Production CRAM with tiles of `tile` GIF keys (`0` disables
+    /// tiling) — the width the public entry points fix at
+    /// [`DEFAULT_TILE`].
+    fn run_tiled(
+        input: &AllocationInput,
+        metric: ClosenessMetric,
+        tile: usize,
+    ) -> (Allocation, CramStats) {
+        let units = crate::sorting::units_from_input(input);
+        CramBuilder::new(metric)
+            .execute(input, units, EnginePath::Production { tile })
+            .unwrap()
+    }
+
+    /// At every tile width, production reproduces the oracle's
+    /// allocation bit for bit, and every stat except
+    /// `closeness_computations` (which tiling may lower, never raise);
+    /// untiled, the stats match outright.
     #[test]
-    fn layouts_and_tiles_are_bit_identical() {
+    fn production_matches_the_reference_at_every_tile_width() {
         let subs: Vec<SubscriptionEntry> = (0..30)
             .map(|i| {
                 let group = i % 6;
@@ -2150,39 +2123,21 @@ mod tests {
             publishers: publishers(),
         };
         for metric in ClosenessMetric::ALL {
-            let (ref_alloc, ref_stats) = CramBuilder::new(metric)
-                .layout(Layout::PerProfile)
-                .tile(0)
-                .run(&input)
-                .unwrap();
-            for (layout, tile) in [
-                (Layout::Arena { stride: 0 }, 0usize),
-                (Layout::PerProfile, 3),
-                (Layout::Arena { stride: 0 }, 3),
-                (Layout::Arena { stride: 0 }, DEFAULT_TILE),
-            ] {
-                let (alloc, stats) = CramBuilder::new(metric)
-                    .layout(layout)
-                    .tile(tile)
-                    .run(&input)
-                    .unwrap();
-                assert_eq!(
-                    alloc.loads, ref_alloc.loads,
-                    "{metric} {layout:?} tile={tile}"
+            let (ref_alloc, ref_stats) = CramBuilder::new(metric).run_reference(&input).unwrap();
+            for tile in [0usize, 2, 3, DEFAULT_TILE] {
+                let (alloc, stats) = run_tiled(&input, metric, tile);
+                assert_eq!(alloc.loads, ref_alloc.loads, "{metric} tile={tile}");
+                assert!(
+                    stats.closeness_computations <= ref_stats.closeness_computations,
+                    "{metric} tile={tile}: {} > {}",
+                    stats.closeness_computations,
+                    ref_stats.closeness_computations
                 );
-                if tile == 0 {
-                    assert_eq!(stats, ref_stats, "{metric} {layout:?}");
-                } else {
-                    assert!(
-                        stats.closeness_computations <= ref_stats.closeness_computations,
-                        "{metric} {layout:?} tile={tile}: {} > {}",
-                        stats.closeness_computations,
-                        ref_stats.closeness_computations
-                    );
-                    let mut normalized = stats;
+                let mut normalized = stats;
+                if tile > 0 {
                     normalized.closeness_computations = ref_stats.closeness_computations;
-                    assert_eq!(normalized, ref_stats, "{metric} {layout:?} tile={tile}");
                 }
+                assert_eq!(normalized, ref_stats, "{metric} tile={tile}");
             }
         }
     }
@@ -2206,7 +2161,7 @@ mod tests {
             publishers: publishers(),
         };
         let units = crate::sorting::units_from_input(&input);
-        let mut pool = Pool::build(units, Layout::Arena { stride: 0 }, 3, &never()).unwrap();
+        let mut pool = Pool::build(units, EnginePath::Production { tile: 3 }, &never()).unwrap();
         pool.tiles.rebuild(&pool.gifs);
         assert!(pool.gifs.len() > 3, "need several buckets");
         for (gk, gif) in &pool.gifs {
@@ -2237,14 +2192,8 @@ mod tests {
             subscriptions: subs,
             publishers: publishers(),
         };
-        let (tiled_alloc, tiled) = CramBuilder::new(ClosenessMetric::Ios)
-            .tile(2)
-            .run(&input)
-            .unwrap();
-        let (flat_alloc, flat) = CramBuilder::new(ClosenessMetric::Ios)
-            .tile(0)
-            .run(&input)
-            .unwrap();
+        let (tiled_alloc, tiled) = run_tiled(&input, ClosenessMetric::Ios, 2);
+        let (flat_alloc, flat) = run_tiled(&input, ClosenessMetric::Ios, 0);
         assert_eq!(tiled_alloc.loads, flat_alloc.loads);
         assert!(
             tiled.closeness_computations < flat.closeness_computations,

@@ -145,39 +145,6 @@ where
     })
 }
 
-/// How a [`PairCache`] reacts to a key whose profile changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalidationPolicy {
-    /// Drop only the cached pairs touching the changed key (the
-    /// default: surviving pairs stay warm across merges).
-    #[default]
-    TouchedRows,
-    /// Drop the entire cache on any invalidation. Deterministic but
-    /// conservative — useful when debugging suspected stale entries or
-    /// when merges churn most keys anyway.
-    Clear,
-}
-
-/// Configuration of a [`PairCache`], replacing the grown-by-accretion
-/// positional constructor arguments with one named struct.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheConfig {
-    /// Maximum number of distinct pairs held; beyond it the cache
-    /// deterministically stops admitting new entries.
-    pub budget: usize,
-    /// What `invalidate` drops when a key's profile changes.
-    pub invalidation: InvalidationPolicy,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self {
-            budget: PAIR_CACHE_BUDGET,
-            invalidation: InvalidationPolicy::TouchedRows,
-        }
-    }
-}
-
 /// A symmetric memo table of pair-closeness values.
 ///
 /// Entries are stored under both key orders so `invalidate(k)` can drop
@@ -191,7 +158,8 @@ impl Default for CacheConfig {
 pub struct PairCache<K: Ord + Copy> {
     rows: BTreeMap<K, BTreeMap<K, f64>>,
     pairs: usize,
-    config: CacheConfig,
+    /// Admission cutoff: [`PAIR_CACHE_BUDGET`] outside unit tests.
+    budget: usize,
     /// Lookup tallies. Atomics because [`PairCache::get`] runs
     /// concurrently on shard workers over a frozen cache; the totals
     /// are still thread-count-deterministic because every worker
@@ -224,25 +192,21 @@ impl CacheStats {
 
 impl<K: Ord + Copy> Default for PairCache<K> {
     fn default() -> Self {
-        Self::with_config(CacheConfig::default())
+        Self::with_budget(PAIR_CACHE_BUDGET)
     }
 }
 
 impl<K: Ord + Copy> PairCache<K> {
-    /// Creates an empty cache with an explicit configuration.
-    pub fn with_config(config: CacheConfig) -> Self {
+    /// An empty cache admitting at most `budget` distinct pairs; a small
+    /// budget lets unit tests reach the cutoff.
+    fn with_budget(budget: usize) -> Self {
         PairCache {
             rows: BTreeMap::new(),
             pairs: 0,
-            config,
+            budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// Number of distinct pairs currently cached.
@@ -289,10 +253,10 @@ impl<K: Ord + Copy> PairCache<K> {
     }
 
     /// Inserts a closeness value for the pair `(a, b)`. New pairs are
-    /// dropped once [`CacheConfig::budget`] distinct pairs are held;
+    /// dropped once [`PAIR_CACHE_BUDGET`] distinct pairs are held;
     /// re-inserting an existing pair always updates it.
     pub fn insert(&mut self, a: K, b: K, closeness: f64) {
-        if self.peek(a, b).is_none() && self.pairs >= self.config.budget {
+        if self.peek(a, b).is_none() && self.pairs >= self.budget {
             return;
         }
         let fresh = self
@@ -307,16 +271,9 @@ impl<K: Ord + Copy> PairCache<K> {
         }
     }
 
-    /// Drops cached pairs per the configured [`InvalidationPolicy`] when
-    /// `k`'s profile changes or `k` disappears from the pool.
+    /// Drops every cached pair touching `k`, for when `k`'s profile
+    /// changes or `k` disappears from the pool.
     pub fn invalidate(&mut self, k: K) {
-        if self.config.invalidation == InvalidationPolicy::Clear {
-            if self.touches(k) {
-                self.rows.clear();
-                self.pairs = 0;
-            }
-            return;
-        }
         if let Some(row) = self.rows.remove(&k) {
             self.pairs -= row.len();
             for partner in row.keys() {
@@ -464,25 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_config_budget_and_clear_policy() {
-        let mut c: PairCache<u64> = PairCache::with_config(CacheConfig {
-            budget: 2,
-            invalidation: InvalidationPolicy::Clear,
-        });
-        assert_eq!(c.config().budget, 2);
-        c.insert(1, 2, 0.1);
-        c.insert(1, 3, 0.2);
-        c.insert(1, 4, 0.3); // over budget → dropped
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(1, 4), None);
-        c.invalidate(9); // touches nothing → entries survive
-        assert_eq!(c.len(), 2);
-        c.invalidate(3); // Clear policy wipes everything
-        assert!(c.is_empty());
-        assert_eq!(c.get(1, 2), None);
-    }
-
-    #[test]
     fn coarsened_threads_floor_shard_sizes() {
         assert_eq!(coarsened_threads(8, 0), 1);
         assert_eq!(coarsened_threads(8, 31), 1);
@@ -493,17 +431,26 @@ mod tests {
 
     #[test]
     fn pair_cache_budget_is_enforced_deterministically() {
-        let mut c: PairCache<usize> = PairCache::default();
-        // Shrink the effective budget by filling to it: too slow to hit
-        // the real budget here, so exercise the guard path via a tiny
-        // synthetic fill against the public constant's semantics.
-        for i in 0..100usize {
+        let mut c: PairCache<usize> = PairCache::with_budget(3);
+        for i in 0..10usize {
             c.insert(i, i + 1000, i as f64);
         }
-        assert_eq!(c.len(), 100);
-        // Existing entries always update even at the budget.
+        // Admission stopped at the budget: the first three pairs stay,
+        // every later new pair was dropped.
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.get(2, 1002), Some(2.0));
+        assert_eq!(c.get(3, 1003), None);
+        // A full cache still updates the pairs it holds, in either key
+        // order, without growing.
         c.insert(0, 1000, 42.0);
+        c.insert(1001, 1, 43.0);
         assert_eq!(c.get(0, 1000), Some(42.0));
-        assert_eq!(c.len(), 100);
+        assert_eq!(c.get(1, 1001), Some(43.0));
+        assert_eq!(c.len(), 3);
+        // Invalidation frees room, and admission resumes.
+        c.invalidate(0);
+        c.insert(3, 1003, 3.0);
+        assert_eq!(c.get(3, 1003), Some(3.0));
+        assert_eq!(c.len(), 3);
     }
 }

@@ -18,7 +18,7 @@
 //! [`ShiftingBitVector::pair_cardinalities`] (both call the same
 //! `pair_cardinalities_windows` helper), so arena-backed cardinalities
 //! are identical to the per-profile path by construction — the property
-//! the engine's layout proptests pin down.
+//! CRAM's production-vs-oracle proptests pin down.
 
 use crate::bitvec::{pair_cardinalities_windows, PairCardinalities, ShiftingBitVector};
 

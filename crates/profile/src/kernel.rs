@@ -1,91 +1,21 @@
-//! The closeness kernel — one trait in front of every batch popcount
-//! path.
+//! The arena closeness kernel: the batch popcount path CRAM's
+//! production engine evaluates every GIF pair through.
 //!
-//! The closeness surface used to be spread across
-//! `ShiftingBitVector::{and_count,or_count,xor_count,pair_cardinalities}`
-//! plus per-profile walks in [`crate::closeness`]. A
-//! [`ClosenessKernel`] collapses that to a single question — "what are
-//! the pair cardinalities of the profiles stored under these two
-//! keys?" — and lets the engine choose *how* profiles are stored:
-//!
-//! * [`PerProfileKernel`] keeps whole [`SubscriptionProfile`] clones,
-//!   byte-for-byte the legacy layout;
-//! * [`ArenaKernel`] packs every per-publisher bit window into one
-//!   contiguous [`BitsetArena`] so a pair evaluation is a streaming
-//!   popcount over adjacent rows with zero allocation.
-//!
-//! Both paths route through the same word-level routine, so their
+//! [`ArenaKernel`] answers one question — "what are the pair
+//! cardinalities of the profiles stored under these two keys?" — from
+//! per-publisher bit windows packed into one contiguous
+//! [`BitsetArena`], so a pair evaluation is a streaming popcount over
+//! adjacent rows with zero allocation. It runs the same word-level
+//! routine as [`SubscriptionProfile::pair_cardinalities`], so its
 //! cardinalities — and therefore every metric value derived via
-//! [`crate::ClosenessMetric::from_cardinalities`] — are bit-identical.
+//! [`crate::ClosenessMetric::from_cardinalities`] — are bit-identical
+//! to the per-profile walk.
 
 use crate::arena::{BitsetArena, RowId};
 use crate::bitvec::{pair_cardinalities_windows, PairCardinalities, ShiftingBitVector};
 use crate::profile::SubscriptionProfile;
 use greenps_pubsub::ids::AdvId;
 use std::collections::BTreeMap;
-
-/// Batch cardinality provider over keyed subscription profiles.
-///
-/// Keys are engine-chosen opaque `u64`s (CRAM uses its GIF keys). A
-/// lookup of an unknown key behaves as an empty profile.
-pub trait ClosenessKernel: Send + Sync {
-    /// Stores (or replaces) the profile under `key`.
-    fn insert(&mut self, key: u64, profile: &SubscriptionProfile);
-
-    /// Drops the profile stored under `key` (no-op when absent).
-    fn remove(&mut self, key: u64);
-
-    /// Pair cardinalities of the profiles under `a` and `b`, summed
-    /// across publishers — the single pass all four closeness metrics
-    /// are derived from.
-    fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities;
-
-    /// Number of stored profiles.
-    fn len(&self) -> usize;
-
-    /// True when no profile is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The legacy layout: one heap-allocated [`SubscriptionProfile`] clone
-/// per key. Kept as the reference implementation the arena is proven
-/// against.
-#[derive(Debug, Default)]
-pub struct PerProfileKernel {
-    profiles: BTreeMap<u64, SubscriptionProfile>,
-}
-
-impl PerProfileKernel {
-    /// Creates an empty kernel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ClosenessKernel for PerProfileKernel {
-    fn insert(&mut self, key: u64, profile: &SubscriptionProfile) {
-        self.profiles.insert(key, profile.clone());
-    }
-
-    fn remove(&mut self, key: u64) {
-        self.profiles.remove(&key);
-    }
-
-    fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities {
-        match (self.profiles.get(&a), self.profiles.get(&b)) {
-            (Some(pa), Some(pb)) => pa.pair_cardinalities(pb),
-            (Some(pa), None) => PairCardinalities::left_only(pa.count_ones()),
-            (None, Some(pb)) => PairCardinalities::right_only(pb.count_ones()),
-            (None, None) => PairCardinalities::default(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.profiles.len()
-    }
-}
 
 /// Where one per-publisher bit window of a keyed profile lives.
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +39,9 @@ struct LegRef {
 /// two `AdvId`-sorted leg lists — shared publishers stream both rows
 /// through the word kernel, single-sided publishers use their cached
 /// popcount — and performs **zero** allocations.
+///
+/// Keys are engine-chosen opaque `u64`s (CRAM uses its GIF keys). A
+/// lookup of an unknown key behaves as an empty profile.
 #[derive(Debug)]
 pub struct ArenaKernel {
     arena: BitsetArena,
@@ -126,18 +59,6 @@ impl ArenaKernel {
             overflow_free: Vec::new(),
             entries: BTreeMap::new(),
         }
-    }
-
-    /// Row capacity of the backing arena in bits.
-    pub fn stride_bits(&self) -> usize {
-        self.arena.stride_bits()
-    }
-
-    /// Number of windows that did not fit the stride and live in the
-    /// side store (a diagnostics hook: a well-chosen stride keeps this
-    /// at zero).
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.iter().filter(|s| s.is_some()).count()
     }
 
     fn free_legs(&mut self, legs: &[LegRef]) {
@@ -174,10 +95,9 @@ impl ArenaKernel {
             (None, None) => PairCardinalities::default(),
         }
     }
-}
 
-impl ClosenessKernel for ArenaKernel {
-    fn insert(&mut self, key: u64, profile: &SubscriptionProfile) {
+    /// Stores (or replaces) the profile under `key`.
+    pub fn insert(&mut self, key: u64, profile: &SubscriptionProfile) {
         if let Some(old) = self.entries.remove(&key) {
             self.free_legs(&old);
         }
@@ -207,13 +127,17 @@ impl ClosenessKernel for ArenaKernel {
         self.entries.insert(key, legs);
     }
 
-    fn remove(&mut self, key: u64) {
+    /// Drops the profile stored under `key` (no-op when absent).
+    pub fn remove(&mut self, key: u64) {
         if let Some(legs) = self.entries.remove(&key) {
             self.free_legs(&legs);
         }
     }
 
-    fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities {
+    /// Pair cardinalities of the profiles under `a` and `b`, summed
+    /// across publishers — the single pass all four closeness metrics
+    /// are derived from.
+    pub fn pair_cardinalities(&self, a: u64, b: u64) -> PairCardinalities {
         let empty: &[LegRef] = &[];
         let la = self.entries.get(&a).map_or(empty, Vec::as_slice);
         let lb = self.entries.get(&b).map_or(empty, Vec::as_slice);
@@ -248,10 +172,6 @@ impl ClosenessKernel for ArenaKernel {
         }
         total
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -271,18 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_with_profile_walk() {
+    fn arena_agrees_with_profile_walk() {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..40 {
             let cap = rng.gen_range(1..200usize);
             let a = random_profile(&mut rng, cap);
             let b = random_profile(&mut rng, cap);
             let expected = a.pair_cardinalities(&b);
-
-            let mut per = PerProfileKernel::new();
-            per.insert(1, &a);
-            per.insert(2, &b);
-            assert_eq!(per.pair_cardinalities(1, 2), expected);
 
             // Stride smaller than some capacities exercises overflow.
             let mut arena = ArenaKernel::new(64);
@@ -296,17 +211,13 @@ mod tests {
     fn unknown_keys_read_as_empty_profiles() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = random_profile(&mut rng, 64);
-        for k in [
-            &mut PerProfileKernel::new() as &mut dyn ClosenessKernel,
-            &mut ArenaKernel::new(128),
-        ] {
-            k.insert(7, &a);
-            let c = k.pair_cardinalities(7, 99);
-            assert_eq!(c.and, 0);
-            assert_eq!(c.left, a.count_ones());
-            assert_eq!(c.right, 0);
-            assert_eq!(k.pair_cardinalities(99, 98), PairCardinalities::default());
-        }
+        let mut k = ArenaKernel::new(128);
+        k.insert(7, &a);
+        let c = k.pair_cardinalities(7, 99);
+        assert_eq!(c.and, 0);
+        assert_eq!(c.left, a.count_ones());
+        assert_eq!(c.right, 0);
+        assert_eq!(k.pair_cardinalities(99, 98), PairCardinalities::default());
     }
 
     #[test]
@@ -317,9 +228,7 @@ mod tests {
         let mut k = ArenaKernel::new(64);
         k.insert(1, &a);
         k.insert(2, &b);
-        assert_eq!(k.len(), 2);
         k.remove(1);
-        assert_eq!(k.len(), 1);
         assert_eq!(k.pair_cardinalities(1, 2).left, 0);
         k.insert(3, &a);
         assert_eq!(k.pair_cardinalities(3, 2), a.pair_cardinalities(&b));

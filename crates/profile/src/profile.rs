@@ -326,8 +326,8 @@ impl Relation {
     /// Derives the relation from precomputed pair cardinalities — the
     /// same decision procedure as [`SubscriptionProfile::relationship`]
     /// (`|∩| = 0` → empty; otherwise compare `|∩|` against `|S1|` and
-    /// `|S2|`), so a [`crate::kernel::ClosenessKernel`] can classify a
-    /// pair without re-walking the profiles.
+    /// `|S2|`), so an [`crate::ArenaKernel`] pass can classify a pair
+    /// without re-walking the profiles.
     #[must_use]
     pub fn from_cardinalities(c: PairCardinalities) -> Relation {
         if c.and == 0 {

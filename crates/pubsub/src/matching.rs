@@ -4,11 +4,9 @@
 //!
 //! * [`NaiveMatcher`] scans every filter — the reference oracle used in
 //!   tests;
-//! * [`CountingMatcher`] implements the classic predicate-counting
-//!   algorithm with per-attribute predicate sharing, the engine brokers
-//!   use. Identical predicates appearing in many subscriptions (e.g. the
-//!   `[class,=,'STOCK']` predicate in every stock subscription) are
-//!   evaluated once per publication.
+//! * [`BucketMatcher`] indexes each filter under its rarest equality
+//!   predicate, so a publication only evaluates the filters its
+//!   `(attribute, value)` pairs select — the engine brokers use.
 
 use crate::filter::Filter;
 use crate::ids::SubId;
@@ -67,144 +65,6 @@ impl Matcher for NaiveMatcher {
             .map(|(id, _)| *id)
             .collect();
         out.sort_unstable();
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.filters.len()
-    }
-}
-
-/// Identifier of a shared predicate inside [`CountingMatcher`].
-type PredId = usize;
-
-#[derive(Debug, Clone)]
-struct SharedPredicate {
-    predicate: crate::predicate::Predicate,
-    /// Subscriptions containing this predicate, with multiplicity 1.
-    subscribers: Vec<SubId>,
-}
-
-/// Predicate-counting matcher with per-attribute predicate sharing.
-#[derive(Debug, Clone, Default)]
-pub struct CountingMatcher {
-    /// Shared predicate table.
-    predicates: Vec<SharedPredicate>,
-    /// Canonical predicate string -> predicate id.
-    by_key: BTreeMap<String, PredId>,
-    /// Attribute -> predicate ids constraining it.
-    by_attr: BTreeMap<String, Vec<PredId>>,
-    /// Subscription -> number of predicates it must satisfy.
-    required: BTreeMap<SubId, usize>,
-    /// Subscriptions with empty filters (match everything).
-    match_all: Vec<SubId>,
-    /// Kept for removal and introspection.
-    filters: BTreeMap<SubId, Filter>,
-}
-
-impl CountingMatcher {
-    /// Creates an empty matcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the stored filter for a subscription, if present.
-    pub fn filter(&self, id: SubId) -> Option<&Filter> {
-        self.filters.get(&id)
-    }
-
-    /// Number of distinct shared predicates (diagnostic).
-    pub fn shared_predicate_count(&self) -> usize {
-        self.predicates
-            .iter()
-            .filter(|p| !p.subscribers.is_empty())
-            .count()
-    }
-}
-
-impl Matcher for CountingMatcher {
-    fn insert(&mut self, id: SubId, filter: Filter) {
-        if self.filters.contains_key(&id) {
-            self.remove(id);
-        }
-        if filter.is_empty() {
-            self.match_all.push(id);
-        } else {
-            self.required.insert(id, filter.len());
-            for pred in filter.predicates() {
-                let key = pred.to_string();
-                let pid = match self.by_key.get(&key) {
-                    Some(&pid) => pid,
-                    None => {
-                        let pid = self.predicates.len();
-                        self.predicates.push(SharedPredicate {
-                            predicate: pred.clone(),
-                            subscribers: Vec::new(),
-                        });
-                        self.by_key.insert(key, pid);
-                        self.by_attr.entry(pred.attr.clone()).or_default().push(pid);
-                        pid
-                    }
-                };
-                if let Some(shared) = self.predicates.get_mut(pid) {
-                    shared.subscribers.push(id);
-                }
-            }
-        }
-        self.filters.insert(id, filter);
-    }
-
-    fn remove(&mut self, id: SubId) -> bool {
-        let Some(filter) = self.filters.remove(&id) else {
-            return false;
-        };
-        if filter.is_empty() {
-            self.match_all.retain(|&s| s != id);
-        } else {
-            self.required.remove(&id);
-            for pred in filter.predicates() {
-                if let Some(shared) = self
-                    .by_key
-                    .get(&pred.to_string())
-                    .and_then(|&pid| self.predicates.get_mut(pid))
-                {
-                    let subs = &mut shared.subscribers;
-                    if let Some(pos) = subs.iter().position(|&s| s == id) {
-                        subs.swap_remove(pos);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn matches(&self, publication: &Publication) -> Vec<SubId> {
-        let mut counts: BTreeMap<SubId, usize> = BTreeMap::new();
-        for (attr, value) in publication.iter() {
-            if let Some(pids) = self.by_attr.get(attr) {
-                for &pid in pids {
-                    let Some(shared) = self.predicates.get(pid) else {
-                        continue;
-                    };
-                    if shared.subscribers.is_empty() {
-                        continue;
-                    }
-                    if shared.predicate.eval(value) {
-                        for &sub in &shared.subscribers {
-                            *counts.entry(sub).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<SubId> = counts
-            .into_iter()
-            .filter(|(sub, n)| self.required.get(sub) == Some(n))
-            .map(|(sub, _)| sub)
-            .collect();
-        out.extend_from_slice(&self.match_all);
-        out.sort_unstable();
-        out.dedup();
         out
     }
 
@@ -417,13 +277,13 @@ mod tests {
             .build()
     }
 
-    fn engines() -> (NaiveMatcher, CountingMatcher) {
-        (NaiveMatcher::new(), CountingMatcher::new())
+    fn engines() -> (NaiveMatcher, BucketMatcher) {
+        (NaiveMatcher::new(), BucketMatcher::new())
     }
 
-    fn both_match(naive: &NaiveMatcher, counting: &CountingMatcher, p: &Publication) -> Vec<SubId> {
+    fn both_match(naive: &NaiveMatcher, bucket: &BucketMatcher, p: &Publication) -> Vec<SubId> {
         let a = naive.matches(p);
-        let b = counting.matches(p);
+        let b = bucket.matches(p);
         assert_eq!(a, b, "engines disagree on {p}");
         a
     }
@@ -483,18 +343,6 @@ mod tests {
             vec![SubId::new(1)]
         );
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn shared_predicates_are_deduplicated() {
-        let mut c = CountingMatcher::new();
-        for i in 0..100 {
-            c.insert(SubId::new(i), stock_template("YHOO"));
-        }
-        // 100 subscriptions share exactly two predicates.
-        assert_eq!(c.shared_predicate_count(), 2);
-        assert_eq!(c.matches(&quote("YHOO", 1.0, 1)).len(), 100);
-        assert!(c.filter(SubId::new(5)).is_some());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use greenps_pubsub::filter::Filter;
 use greenps_pubsub::ids::{AdvId, MsgId, SubId};
-use greenps_pubsub::matching::{CountingMatcher, Matcher, NaiveMatcher};
+use greenps_pubsub::matching::{BucketMatcher, Matcher, NaiveMatcher};
 use greenps_pubsub::message::Publication;
 use greenps_pubsub::parser::parse_filter;
 use greenps_pubsub::predicate::{Op, Predicate};
@@ -114,8 +114,8 @@ proptest! {
         }
     }
 
-    /// The counting matcher agrees with the naive matcher on arbitrary
-    /// workloads, including after removals.
+    /// The serving (bucket) matcher agrees with the naive matcher on
+    /// arbitrary workloads, including after removals.
     #[test]
     fn matchers_agree(
         filters in proptest::collection::vec(arb_filter(), 0..25),
@@ -123,18 +123,18 @@ proptest! {
         pubs in proptest::collection::vec(arb_publication(), 0..25),
     ) {
         let mut naive = NaiveMatcher::new();
-        let mut counting = CountingMatcher::new();
+        let mut bucket = BucketMatcher::new();
         for (i, f) in filters.iter().enumerate() {
             naive.insert(SubId::new(i as u64), f.clone());
-            counting.insert(SubId::new(i as u64), f.clone());
+            bucket.insert(SubId::new(i as u64), f.clone());
         }
         for r in removals {
             naive.remove(SubId::new(r as u64));
-            counting.remove(SubId::new(r as u64));
+            bucket.remove(SubId::new(r as u64));
         }
-        prop_assert_eq!(naive.len(), counting.len());
+        prop_assert_eq!(naive.len(), bucket.len());
         for p in &pubs {
-            prop_assert_eq!(naive.matches(p), counting.matches(p), "on {}", p);
+            prop_assert_eq!(naive.matches(p), bucket.matches_mut(p), "on {}", p);
         }
     }
 
