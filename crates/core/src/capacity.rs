@@ -294,11 +294,25 @@ struct FastSlot {
 struct FastBroker {
     spec: BrokerSpec,
     out_used: f64,
+    /// The exact input rate of the placed units — or, while `lazy`, an
+    /// upper bound on it.
     in_rate: f64,
+    /// True while the broker accepts on the rate bound alone and its
+    /// union slots are left stale (see [`FastPacker`]).
+    lazy: bool,
     subs: usize,
     /// Units placed on this broker, in placement order — the recipe a
-    /// best-so-far allocation is later materialized from.
+    /// best-so-far allocation is later materialized from, and the
+    /// sequence a lazy broker replays when it turns exact.
     picks: Vec<Arc<Unit>>,
+}
+
+impl FastBroker {
+    fn place(&mut self, unit: &Arc<Unit>) {
+        self.out_used += unit.out_bandwidth;
+        self.subs += unit.sub_count();
+        self.picks.push(Arc::clone(unit));
+    }
 }
 
 /// The persistent allocation-test packer behind CRAM's arena engine.
@@ -312,6 +326,20 @@ struct FastBroker {
 /// streaming [`ShiftingBitVector::pair_cardinalities`] pass instead of
 /// a `count_ones` walk plus a separate union-count walk.
 ///
+/// Most packs never come near a broker's matching rate, so each broker
+/// starts a pack *lazy*: it keeps an upper bound on its input rate and
+/// no union slots. A unit's [`FastPacker::rate_bound`] sums the rates
+/// of the publisher legs the exact delta visits, and each of the
+/// delta's rounded terms is at most that leg's rate (every fraction
+/// lies in `[0, 1]`). Rounded addition is monotone, so the exact rate
+/// never exceeds the bound, and a lazy broker accepts a unit whenever
+/// `bound + rate_bound` fits the matching rate — an accept the exact
+/// check would make too. The first time the bound does not fit, the
+/// broker replays its picks through the exact probe and fold, which
+/// rebuilds its slots and its exact rate, and runs exact for the rest
+/// of the pack. The bound needs finite, non-negative publisher rates;
+/// otherwise every broker runs exact from the start.
+///
 /// The acceptance decisions are bit-identical to
 /// [`RefPacker::pack_sorted`] over the same unit order: the broker
 /// order replicates `RefPacker::new`'s sort, and the rate check
@@ -323,6 +351,17 @@ struct FastBroker {
 #[derive(Debug)]
 pub(crate) struct FastPacker {
     brokers: Vec<FastBroker>,
+    unions: FastUnions,
+    /// Whether the lazy rate bound is sound: every publisher rate is
+    /// finite and non-negative.
+    bounded: bool,
+    /// Lazy brokers switched to exact mode, over all packs.
+    exact_fallbacks: u64,
+}
+
+/// The exact per-(broker, publisher) union state of a [`FastPacker`].
+#[derive(Debug)]
+struct FastUnions {
     /// Publisher advertisement ids, ascending (the slot column index).
     advs: Vec<AdvId>,
     /// Publication rate per publisher, parallel to `advs`.
@@ -347,6 +386,113 @@ pub(crate) fn pack_order(a: &Unit, b: &Unit) -> std::cmp::Ordering {
     b.out_bandwidth
         .total_cmp(&a.out_bandwidth)
         .then_with(|| a.subs.cmp(&b.subs))
+}
+
+impl FastUnions {
+    /// The rate delta of adding `unit` to broker `b`'s union,
+    /// replicating the reference `estimate_rate_delta` f64 sequence with
+    /// the union's cached popcount standing in for its `count_ones`
+    /// walk. Records the shared legs' union popcounts for
+    /// [`FastUnions::fold`].
+    fn probe(&mut self, b: usize, unit: &Unit) -> f64 {
+        let n_advs = self.advs.len();
+        self.or_scratch.clear();
+        // At most one entry per advertisement slot hit below.
+        self.or_scratch.reserve(n_advs);
+        let mut delta = 0.0;
+        for (adv, o) in unit.profile.iter() {
+            let Ok(ai) = self.advs.binary_search(&adv) else {
+                continue;
+            };
+            let (rate, last) = match (self.rates.get(ai), self.last_msgs.get(ai)) {
+                (Some(r), Some(l)) => (*r, *l),
+                _ => continue,
+            };
+            let ones_new = o.count_ones();
+            if ones_new == 0 {
+                continue;
+            }
+            let fraction = |ones: usize, first: u64, cap: usize| -> f64 {
+                if ones == 0 {
+                    return 0.0;
+                }
+                let observed = last
+                    .saturating_sub(first)
+                    .saturating_add(1)
+                    .min(cap as u64)
+                    .max(ones as u64);
+                ones as f64 / observed as f64
+            };
+            let si = b * n_advs + ai;
+            match self.slots.get(si).filter(|s| s.epoch == self.epoch) {
+                Some(s) => {
+                    let old = fraction(s.ones, s.vec.first_id(), s.vec.capacity());
+                    let c = s.vec.pair_cardinalities(o);
+                    let new = fraction(
+                        c.or,
+                        s.vec.first_id().min(o.first_id()),
+                        s.vec.capacity().max(o.capacity()),
+                    );
+                    self.or_scratch.push((si, c.or));
+                    delta += (new - old) * rate;
+                }
+                None => {
+                    delta += fraction(ones_new, o.first_id(), o.capacity()) * rate;
+                }
+            }
+        }
+        delta
+    }
+
+    /// Folds every publisher-backed window of `unit` into broker `b`'s
+    /// slots (including empty windows — their placement can widen a
+    /// union window, which the reference path's `or_assign` also does).
+    /// Must follow [`FastUnions::probe`] of the same unit.
+    fn fold(&mut self, b: usize, unit: &Unit) {
+        let n_advs = self.advs.len();
+        for (adv, o) in unit.profile.iter() {
+            let Ok(ai) = self.advs.binary_search(&adv) else {
+                continue;
+            };
+            let si = b * n_advs + ai;
+            let Some(s) = self.slots.get_mut(si) else {
+                continue;
+            };
+            if s.epoch == self.epoch {
+                let lo = s.vec.first_id().min(o.first_id());
+                let hi_end = s.vec.window_end().max(o.window_end());
+                let truncated = hi_end - lo > s.vec.capacity() as u64;
+                s.vec.or_assign(o);
+                let cached = self
+                    .or_scratch
+                    .iter()
+                    .find(|(i, _)| *i == si)
+                    .map(|(_, or)| *or);
+                s.ones = match (truncated, cached) {
+                    (false, Some(or)) => or,
+                    _ => s.vec.count_ones(),
+                };
+            } else {
+                s.vec.copy_from(o);
+                s.ones = s.vec.count_ones();
+                s.epoch = self.epoch;
+            }
+        }
+    }
+
+    /// Turns lazy broker `b` exact: replays its picks, in placement
+    /// order, through the exact probe and fold. Its slots are all stale
+    /// while it is lazy, so this runs the same f64 sequence as a broker
+    /// that was exact from the start of the pack.
+    fn make_exact(&mut self, b: usize, st: &mut FastBroker) {
+        let mut in_rate = 0.0;
+        for unit in &st.picks {
+            in_rate += self.probe(b, unit);
+            self.fold(b, unit);
+        }
+        st.in_rate = in_rate;
+        st.lazy = false;
+    }
 }
 
 impl FastPacker {
@@ -377,36 +523,68 @@ impl FastPacker {
                     spec,
                     out_used: 0.0,
                     in_rate: 0.0,
+                    lazy: false,
                     subs: 0,
                     picks: Vec::new(),
                 })
                 .collect(),
-            advs,
-            rates,
-            last_msgs,
-            slots,
-            epoch: 0,
-
-            or_scratch: Vec::new(),
+            bounded: rates.iter().all(|r| r.is_finite() && *r >= 0.0),
+            unions: FastUnions {
+                advs,
+                rates,
+                last_msgs,
+                slots,
+                epoch: 0,
+                or_scratch: Vec::new(),
+            },
+            exact_fallbacks: 0,
         }
     }
 
-    /// Packs units (already in [`pack_order`]) onto the brokers,
-    /// resetting all per-pack state via the epoch bump. Decision-
-    /// identical to [`RefPacker::pack_sorted`] over the same order.
+    /// The unit's rate bound: the sum of the publisher rates over the
+    /// legs the exact rate delta visits (publisher in the table, window
+    /// not empty), added in the same leg order. No placement of the
+    /// unit raises a broker's exact input rate by more.
+    pub(crate) fn rate_bound(&self, unit: &Unit) -> f64 {
+        let u = &self.unions;
+        let mut bound = 0.0;
+        for (adv, o) in unit.profile.iter() {
+            let Ok(ai) = u.advs.binary_search(&adv) else {
+                continue;
+            };
+            let Some(rate) = u.rates.get(ai) else {
+                continue;
+            };
+            if o.count_ones() == 0 {
+                continue;
+            }
+            bound += rate;
+        }
+        bound
+    }
+
+    /// Lazy brokers switched to exact mode since construction.
+    pub(crate) fn exact_fallbacks(&self) -> u64 {
+        self.exact_fallbacks
+    }
+
+    /// Packs units (already in [`pack_order`], each with its
+    /// [`FastPacker::rate_bound`]) onto the brokers, resetting all
+    /// per-pack state via the epoch bump. Decision-identical to
+    /// [`RefPacker::pack_sorted`] over the same order.
     ///
     /// # Errors
     /// Fails with the subscriptions of the first unplaceable unit, or
     /// [`AllocError::NoBrokers`] when units exist but the pool is empty.
     pub(crate) fn pack<'x>(
         &mut self,
-        units: impl Iterator<Item = &'x Arc<Unit>>,
+        units: impl Iterator<Item = (&'x Arc<Unit>, f64)>,
     ) -> Result<(), AllocError> {
-        self.epoch += 1;
-        let n_advs = self.advs.len();
+        self.unions.epoch += 1;
         for st in &mut self.brokers {
             st.out_used = 0.0;
             st.in_rate = 0.0;
+            st.lazy = self.bounded;
             st.subs = 0;
             st.picks.clear();
         }
@@ -417,101 +595,30 @@ impl FastPacker {
                 Some(_) => Err(AllocError::NoBrokers),
             };
         }
-        'units: for unit in units {
+        'units: for (unit, rate_bound) in units {
             for (b, st) in self.brokers.iter_mut().enumerate() {
                 // Cheap bandwidth check first — the dominant rejection.
                 if st.out_used + unit.out_bandwidth >= st.spec.out_bandwidth {
                     continue;
                 }
-                // Incremental rate check replicating the reference
-                // `estimate_rate_delta` f64 sequence, with the union's
-                // cached popcount standing in for its `count_ones` walk.
-                self.or_scratch.clear();
-                // At most one entry per advertisement slot hit below.
-                self.or_scratch.reserve(self.advs.len());
-                let mut delta = 0.0;
-                for (adv, o) in unit.profile.iter() {
-                    let Ok(ai) = self.advs.binary_search(&adv) else {
-                        continue;
-                    };
-                    let (rate, last) = match (self.rates.get(ai), self.last_msgs.get(ai)) {
-                        (Some(r), Some(l)) => (*r, *l),
-                        _ => continue,
-                    };
-                    let ones_new = o.count_ones();
-                    if ones_new == 0 {
-                        continue;
-                    }
-                    let fraction = |ones: usize, first: u64, cap: usize| -> f64 {
-                        if ones == 0 {
-                            return 0.0;
-                        }
-                        let observed = last
-                            .saturating_sub(first)
-                            .saturating_add(1)
-                            .min(cap as u64)
-                            .max(ones as u64);
-                        ones as f64 / observed as f64
-                    };
-                    let si = b * n_advs + ai;
-                    match self.slots.get(si).filter(|s| s.epoch == self.epoch) {
-                        Some(s) => {
-                            let old = fraction(s.ones, s.vec.first_id(), s.vec.capacity());
-                            let c = s.vec.pair_cardinalities(o);
-                            let new = fraction(
-                                c.or,
-                                s.vec.first_id().min(o.first_id()),
-                                s.vec.capacity().max(o.capacity()),
-                            );
-                            self.or_scratch.push((si, c.or));
-                            delta += (new - old) * rate;
-                        }
-                        None => {
-                            delta += fraction(ones_new, o.first_id(), o.capacity()) * rate;
-                        }
-                    }
-                }
-                let in_rate = st.in_rate + delta;
                 let max_rate = st.spec.matching_delay.max_rate(st.subs + unit.sub_count());
+                if st.lazy {
+                    let bound = st.in_rate + rate_bound;
+                    if bound <= max_rate {
+                        st.in_rate = bound;
+                        st.place(unit);
+                        continue 'units;
+                    }
+                    self.exact_fallbacks += 1;
+                    self.unions.make_exact(b, st);
+                }
+                let in_rate = st.in_rate + self.unions.probe(b, unit);
                 if in_rate > max_rate {
                     continue;
                 }
-                // Accept: fold every publisher-backed window of the
-                // unit into its slot (including empty windows — their
-                // placement can widen a union window, which the
-                // reference path's `or_assign` also does).
-                for (adv, o) in unit.profile.iter() {
-                    let Ok(ai) = self.advs.binary_search(&adv) else {
-                        continue;
-                    };
-                    let si = b * n_advs + ai;
-                    let Some(s) = self.slots.get_mut(si) else {
-                        continue;
-                    };
-                    if s.epoch == self.epoch {
-                        let lo = s.vec.first_id().min(o.first_id());
-                        let hi_end = s.vec.window_end().max(o.window_end());
-                        let truncated = hi_end - lo > s.vec.capacity() as u64;
-                        s.vec.or_assign(o);
-                        let cached = self
-                            .or_scratch
-                            .iter()
-                            .find(|(i, _)| *i == si)
-                            .map(|(_, or)| *or);
-                        s.ones = match (truncated, cached) {
-                            (false, Some(or)) => or,
-                            _ => s.vec.count_ones(),
-                        };
-                    } else {
-                        s.vec.copy_from(o);
-                        s.ones = s.vec.count_ones();
-                        s.epoch = self.epoch;
-                    }
-                }
+                self.unions.fold(b, unit);
                 st.in_rate = in_rate;
-                st.out_used += unit.out_bandwidth;
-                st.subs += unit.sub_count();
-                st.picks.push(Arc::clone(unit));
+                st.place(unit);
                 continue 'units;
             }
             return Err(AllocError::Infeasible {
@@ -772,9 +879,75 @@ mod tests {
         units.into_iter().map(Arc::new).collect()
     }
 
+    impl FastPacker {
+        /// Broker `b`'s exact input rate: a lazy broker holds only a
+        /// bound, so it replays its picks first.
+        fn exact_in_rate(&mut self, b: usize) -> f64 {
+            let st = &mut self.brokers[b];
+            if st.lazy {
+                self.unions.make_exact(b, st);
+            }
+            st.in_rate
+        }
+    }
+
+    /// Packs with each unit's rate bound, as the CRAM engine does.
+    fn pack_bounded(fast: &mut FastPacker, units: &[&Arc<Unit>]) -> Result<(), AllocError> {
+        let bounds: Vec<f64> = units.iter().map(|u| fast.rate_bound(u)).collect();
+        fast.pack(units.iter().copied().zip(bounds))
+    }
+
+    /// Packs `units` with both packers and asserts they agree on the
+    /// outcome and on every broker: exact input rate bits, used
+    /// bandwidth bits, subscription count and picks.
+    fn assert_packs_agree(
+        brokers: &[BrokerSpec],
+        pubs: &PublisherTable,
+        fast: &mut FastPacker,
+        units: &[&Arc<Unit>],
+        ctx: &str,
+    ) {
+        let mut reference = RefPacker::new(brokers);
+        let ref_result = reference.pack_sorted(pubs, units.iter().map(|u| &***u).collect());
+        let fast_result = pack_bounded(fast, units);
+        assert_eq!(ref_result, fast_result, "{ctx}");
+        assert_eq!(reference.used_brokers(), fast.used_brokers(), "{ctx}");
+        assert_eq!(reference.states.len(), fast.brokers.len());
+        for (b, rs) in reference.states.iter().enumerate() {
+            let exact = fast.exact_in_rate(b);
+            let fs = &fast.brokers[b];
+            assert_eq!(rs.spec.id, fs.spec.id);
+            assert_eq!(
+                rs.in_rate.to_bits(),
+                exact.to_bits(),
+                "{ctx} broker {:?}",
+                rs.spec.id
+            );
+            assert_eq!(rs.out_used.to_bits(), fs.out_used.to_bits(), "{ctx}");
+            assert_eq!(rs.subs, fs.subs, "{ctx}");
+            let ref_subs: Vec<_> = rs.units.iter().map(|u| u.subs.clone()).collect();
+            let fast_subs: Vec<_> = fs.picks.iter().map(|u| u.subs.clone()).collect();
+            assert_eq!(ref_subs, fast_subs, "{ctx}");
+        }
+    }
+
+    /// Every subset of `units` that drops one unit, then the full set:
+    /// slot state from one pack must never leak into the next.
+    fn rounds(units: &[Arc<Unit>]) -> impl Iterator<Item = Vec<&Arc<Unit>>> {
+        (0..=units.len()).map(move |round| {
+            units
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != round)
+                .map(|(_, u)| u)
+                .collect()
+        })
+    }
+
     /// FastPacker must reproduce RefPacker's decisions bit-for-bit —
-    /// same placements, same running rates — across repeated packs of
-    /// changing unit subsets on one persistent packer (the CRAM usage).
+    /// same placements, same exact running rates — across repeated
+    /// packs of changing unit subsets on one persistent packer (the
+    /// CRAM usage).
     #[test]
     fn fast_packer_matches_ref_packer_bit_for_bit() {
         let pubs = two_publishers();
@@ -785,37 +958,83 @@ mod tests {
             broker(3, 80_000.0),
         ];
         let mut fast = FastPacker::new(&brokers, &pubs);
-        // Rounds drop a different unit each time, so slot state from the
-        // previous pack must never leak into the next.
-        for round in 0..=units.len() {
-            let subset: Vec<&Arc<Unit>> = units
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| round == units.len() || *i != round)
-                .map(|(_, u)| u)
-                .collect();
-            let mut reference = RefPacker::new(&brokers);
-            let ref_result = reference.pack_sorted(&pubs, subset.iter().map(|u| &***u).collect());
-            let fast_result = fast.pack(subset.iter().copied());
-            assert_eq!(ref_result.is_ok(), fast_result.is_ok(), "round {round}");
-            assert_eq!(
-                reference.used_brokers(),
-                fast.used_brokers(),
-                "round {round}"
+        for (round, subset) in rounds(&units).enumerate() {
+            assert_packs_agree(
+                &brokers,
+                &pubs,
+                &mut fast,
+                &subset,
+                &format!("round {round}"),
             );
-            for (rs, fs) in reference.states.iter().zip(&fast.brokers) {
-                assert_eq!(rs.spec.id, fs.spec.id);
-                assert_eq!(
-                    rs.in_rate.to_bits(),
-                    fs.in_rate.to_bits(),
-                    "round {round} broker {:?}",
-                    rs.spec.id
-                );
-                assert_eq!(rs.out_used.to_bits(), fs.out_used.to_bits());
-                assert_eq!(rs.subs, fs.subs);
-                let ref_subs: Vec<_> = rs.units.iter().map(|u| u.subs.clone()).collect();
-                let fast_subs: Vec<_> = fs.picks.iter().map(|u| u.subs.clone()).collect();
-                assert_eq!(ref_subs, fast_subs, "round {round}");
+        }
+    }
+
+    /// Where a broker's lazy rate bound first fails to fit.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum BoundFails {
+        /// The bound always fits: no broker turns exact.
+        Never,
+        /// Every unit's own bound fits, their sum does not.
+        Partway,
+        /// No unit's own bound fits: a broker turns exact on its first
+        /// rate check.
+        FirstUnit,
+        /// A negative publisher rate voids the bound: exact throughout.
+        Unbounded,
+    }
+
+    /// The lazy-to-exact switch at matching delays where the bound
+    /// never fails, fails partway through a pack, and fails at the
+    /// first unit (some units then bounce on the exact rate), plus a
+    /// publisher table the bound does not cover. Repeated packs on one
+    /// packer per row check that lazy flags and epochs reset.
+    #[test]
+    fn lazy_rate_bound_switches_to_exact_identically() {
+        let negative: PublisherTable = [
+            PublisherProfile::new(AdvId::new(1), 100.0, 100_000.0, MsgId::new(99)),
+            PublisherProfile::new(AdvId::new(2), -40.0, 20_000.0, MsgId::new(999)),
+        ]
+        .into_iter()
+        .collect();
+        let table = [
+            (two_publishers(), 1.0 / 1_000.0, BoundFails::Never),
+            (two_publishers(), 1.0 / 150.0, BoundFails::Partway),
+            (two_publishers(), 1.0 / 35.0, BoundFails::FirstUnit),
+            (negative, 1.0 / 35.0, BoundFails::Unbounded),
+        ];
+        for (pubs, delay, fails) in table {
+            let units = tricky_units(&pubs);
+            let brokers: Vec<BrokerSpec> = [(1, 120_000.0), (2, 80_000.0), (3, 80_000.0)]
+                .into_iter()
+                .map(|(id, bw)| {
+                    BrokerSpec::new(
+                        BrokerId::new(id),
+                        format!("b{id}"),
+                        LinearFn::new(delay, 0.0),
+                        bw,
+                    )
+                })
+                .collect();
+            let max_rate = 1.0 / delay;
+            let mut fast = FastPacker::new(&brokers, &pubs);
+            let bounds: Vec<f64> = units.iter().map(|u| fast.rate_bound(u)).collect();
+            let total: f64 = bounds.iter().sum();
+            match fails {
+                BoundFails::Never => assert!(total <= max_rate),
+                BoundFails::Partway => {
+                    assert!(bounds.iter().all(|&b| b <= max_rate) && total > max_rate)
+                }
+                BoundFails::FirstUnit => assert!(bounds.iter().all(|&b| b > max_rate)),
+                BoundFails::Unbounded => assert!(!fast.bounded),
+            }
+            for (round, subset) in rounds(&units).enumerate() {
+                let ctx = format!("{fails:?} round {round}");
+                assert_packs_agree(&brokers, &pubs, &mut fast, &subset, &ctx);
+            }
+            let switched = fast.exact_fallbacks();
+            match fails {
+                BoundFails::Never | BoundFails::Unbounded => assert_eq!(switched, 0, "{fails:?}"),
+                BoundFails::Partway | BoundFails::FirstUnit => assert!(switched > 0, "{fails:?}"),
             }
         }
     }
@@ -838,7 +1057,7 @@ mod tests {
         let expected = reference.into_allocation(&pubs);
 
         let mut fast = FastPacker::new(&brokers, &pubs);
-        fast.pack(units.iter()).unwrap();
+        pack_bounded(&mut fast, &units.iter().collect::<Vec<_>>()).unwrap();
         let mut picks = Vec::new();
         fast.drain_picks_into(&mut picks);
         let loads: Vec<BrokerLoad> = picks
@@ -877,19 +1096,19 @@ mod tests {
             us.sort_by(pack_order);
             us.into_iter().map(Arc::new).collect()
         };
+        let units: Vec<&Arc<Unit>> = units.iter().collect();
         let mut reference = RefPacker::new(&brokers);
         let ref_err = reference
-            .pack_sorted(&pubs, units.iter().map(|u| &**u).collect())
+            .pack_sorted(&pubs, units.iter().map(|u| &***u).collect())
             .unwrap_err();
         let mut fast = FastPacker::new(&brokers, &pubs);
-        let fast_err = fast.pack(units.iter()).unwrap_err();
+        let fast_err = pack_bounded(&mut fast, &units).unwrap_err();
         assert_eq!(ref_err, fast_err);
         // Empty pool: Ok for no units, NoBrokers otherwise.
         let mut empty = FastPacker::new(&[], &pubs);
-        assert!(empty.pack(std::iter::empty()).is_ok());
-        assert_eq!(empty.pack(units.iter()), Err(AllocError::NoBrokers));
+        assert!(pack_bounded(&mut empty, &[]).is_ok());
+        assert_eq!(pack_bounded(&mut empty, &units), Err(AllocError::NoBrokers));
     }
-
     #[test]
     fn pack_all_round_trip() {
         let pubs = publishers();

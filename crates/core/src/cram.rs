@@ -601,16 +601,19 @@ impl<'a> CramBuilder<'a> {
         let (pack, threads) = match path {
             EnginePath::Reference => (PackPath::Reference, 1),
             EnginePath::Production { .. } => {
-                let mut order: Vec<PackEntry> = pool
-                    .units
-                    .iter()
-                    .map(|(&key, u)| PackEntry {
+                let packer = FastPacker::new(&input.brokers, &input.publishers);
+                let mut order = Vec::with_capacity(pool.units.len());
+                for (&key, u) in &pool.units {
+                    if self.cancel.is_cancelled_hot() {
+                        return Err(AllocError::Cancelled);
+                    }
+                    order.push(PackEntry {
                         key,
                         unit: Arc::clone(u),
-                    })
-                    .collect();
+                        rate_bound: packer.rate_bound(u),
+                    });
+                }
                 order.sort_by(|a, b| pack_order(&a.unit, &b.unit));
-                let packer = FastPacker::new(&input.brokers, &input.publishers);
                 (PackPath::Fast { packer, order }, self.threads)
             }
         };
@@ -646,6 +649,7 @@ impl<'a> CramBuilder<'a> {
             tile_checks: 0,
             tile_pruned: 0,
             scan_timer: self.telemetry.histogram("cram.scan_us"),
+            pack_timer: self.telemetry.histogram("cram.pack_us"),
             scan_scratch: ScanScratch::default(),
             removed_buf: Vec::new(),
             cgs_scratch: CgsScratch::default(),
@@ -690,6 +694,11 @@ impl<'a> CramBuilder<'a> {
         t.gauge("cram.final_units").set(stats.final_units as u64);
         t.counter("cram.tile.checks").add(engine.tile_checks);
         t.counter("cram.tile.pruned").add(engine.tile_pruned);
+        let fallbacks = match &engine.pack {
+            PackPath::Reference => 0,
+            PackPath::Fast { packer, .. } => packer.exact_fallbacks(),
+        };
+        t.counter("cram.pack.exact_fallbacks").add(fallbacks);
         // Pruning effectiveness: share of candidate evaluations the
         // tile summaries eliminated.
         let tile_denom = engine.tile_pruned + stats.closeness_computations;
@@ -736,6 +745,8 @@ struct Engine<'a> {
     /// shard workers record into it concurrently without affecting the
     /// scan results.
     scan_timer: Histogram,
+    /// Telemetry: per-allocation-test wall times (µs).
+    pack_timer: Histogram,
     /// Telemetry: merge/blacklist trace events.
     events: EventSink,
     /// Reusable scan buffers for [`Engine::refresh_one`].
@@ -756,6 +767,8 @@ fn pair_key(a: GifKey, b: GifKey) -> (GifKey, GifKey) {
 struct PackEntry {
     key: UnitKey,
     unit: Arc<Unit>,
+    /// The unit's [`FastPacker::rate_bound`], computed once.
+    rate_bound: f64,
 }
 
 /// How [`Engine::test_and_record`] runs the allocation test.
@@ -837,18 +850,20 @@ fn materialize_recipe(
 /// reference path's stable sort over survivors chained with the merged
 /// unit last (the order is strict across a live pool anyway — unit
 /// subscription lists are disjoint and non-empty).
-struct MergedOrder<'u, I: Iterator<Item = &'u Arc<Unit>>> {
+struct MergedOrder<'u, I: Iterator<Item = (&'u Arc<Unit>, f64)>> {
     inner: std::iter::Peekable<I>,
-    merged: Option<&'u Arc<Unit>>,
+    merged: Option<(&'u Arc<Unit>, f64)>,
 }
 
-impl<'u, I: Iterator<Item = &'u Arc<Unit>>> Iterator for MergedOrder<'u, I> {
-    type Item = &'u Arc<Unit>;
+impl<'u, I: Iterator<Item = (&'u Arc<Unit>, f64)>> Iterator for MergedOrder<'u, I> {
+    type Item = (&'u Arc<Unit>, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.merged {
-            Some(m) => match self.inner.peek() {
-                Some(u) if pack_order(u, m) != std::cmp::Ordering::Greater => self.inner.next(),
+            Some((m, _)) => match self.inner.peek() {
+                Some((u, _)) if pack_order(u, m) != std::cmp::Ordering::Greater => {
+                    self.inner.next()
+                }
                 _ => self.merged.take(),
             },
             None => self.inner.next(),
@@ -1224,6 +1239,15 @@ impl Engine<'_> {
     /// `removed` must be sorted ascending (the callers reuse
     /// [`Engine::removed_buf`] for it).
     fn test_and_record(&mut self, removed: &[UnitKey], merged: &Unit) -> bool {
+        // The timer reads the clock only when telemetry is on.
+        let timer = self.pack_timer.start_timer();
+        let ok = self.pack_and_record(removed, merged);
+        timer.stop();
+        ok
+    }
+
+    /// The body of [`Engine::test_and_record`].
+    fn pack_and_record(&mut self, removed: &[UnitKey], merged: &Unit) -> bool {
         match &mut self.pack {
             PackPath::Reference => {
                 let units: Vec<&Unit> = self
@@ -1244,13 +1268,14 @@ impl Engine<'_> {
             }
             PackPath::Fast { packer, order } => {
                 let merged_arc = Arc::new(merged.clone());
+                let merged_bound = packer.rate_bound(merged);
                 let live = order
                     .iter()
                     .filter(|e| removed.binary_search(&e.key).is_err())
-                    .map(|e| &e.unit);
+                    .map(|e| (&e.unit, e.rate_bound));
                 let stream = MergedOrder {
                     inner: live.peekable(),
-                    merged: Some(&merged_arc),
+                    merged: Some((&merged_arc, merged_bound)),
                 };
                 if packer.pack(stream).is_err() {
                     return false;
@@ -1302,7 +1327,7 @@ impl Engine<'_> {
             }
         }
         let (new_uk, new_gif) = self.pool.add_unit(merged);
-        if let PackPath::Fast { order, .. } = &mut self.pack {
+        if let PackPath::Fast { packer, order } = &mut self.pack {
             if let Some(u) = self.pool.units.get(&new_uk) {
                 let pos = order
                     .binary_search_by(|e| pack_order(&e.unit, u))
@@ -1312,6 +1337,7 @@ impl Engine<'_> {
                     PackEntry {
                         key: new_uk,
                         unit: Arc::clone(u),
+                        rate_bound: packer.rate_bound(u),
                     },
                 );
             }
@@ -1932,6 +1958,7 @@ mod tests {
             tile_checks: 0,
             tile_pruned: 0,
             scan_timer: Histogram::noop(),
+            pack_timer: Histogram::noop(),
             events: EventSink::noop(),
             scan_scratch: ScanScratch::default(),
             removed_buf: Vec::new(),

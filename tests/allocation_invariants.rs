@@ -33,16 +33,28 @@ fn arb_profile() -> impl Strategy<Value = SubscriptionProfile> {
     })
 }
 
+/// Publication rate of each of the 3 publishers (msgs/s).
+const PUB_RATE: f64 = 30.0;
+
 fn arb_input() -> impl Strategy<Value = AllocationInput> {
     (
         proptest::collection::vec(arb_profile(), 1..40),
         2usize..12,
         20_000.0..200_000.0f64,
+        // Base matching delay: its maximum rate runs from 20x the
+        // summed publication rate down to just over half of it, so the
+        // matching-rate check binds in some inputs and not in others.
+        (1.0 / (60.0 * PUB_RATE))..(1.0 / (1.65 * PUB_RATE)),
     )
-        .prop_map(|(profiles, brokers, bw)| {
+        .prop_map(|(profiles, brokers, bw, delay)| {
             let publishers: PublisherTable = (1..=3)
                 .map(|a| {
-                    PublisherProfile::new(AdvId::new(a), 30.0, 30_000.0, MsgId::new(WINDOW - 1))
+                    PublisherProfile::new(
+                        AdvId::new(a),
+                        PUB_RATE,
+                        1_000.0 * PUB_RATE,
+                        MsgId::new(WINDOW - 1),
+                    )
                 })
                 .collect();
             AllocationInput {
@@ -51,7 +63,7 @@ fn arb_input() -> impl Strategy<Value = AllocationInput> {
                         BrokerSpec::new(
                             BrokerId::new(i),
                             format!("b{i}"),
-                            LinearFn::new(0.0005, 0.0),
+                            LinearFn::new(delay, 0.0),
                             bw,
                         )
                     })
