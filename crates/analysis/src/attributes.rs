@@ -4,24 +4,19 @@
 //! and `#![deny(missing_docs)]`. Vendored stand-ins under `vendor/`
 //! only need the unsafe-code ban (their docs mirror upstream APIs).
 
-use crate::source::mask;
+use crate::lexer::{self, Token};
 use crate::{Finding, SourceFile};
 
 /// Required inner attributes for first-party crate roots.
 pub const REQUIRED: [&str; 2] = ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"];
 
-fn has_inner_attr(masked: &str, attr: &str) -> bool {
-    // Tolerate internal whitespace variations rustfmt may introduce.
-    let canonical: String = attr.chars().filter(|c| !c.is_whitespace()).collect();
-    masked
-        .lines()
-        .map(|l| {
-            l.trim()
-                .chars()
-                .filter(|c| !c.is_whitespace())
-                .collect::<String>()
-        })
-        .any(|l| l == canonical)
+/// True when the code tokens contain `attr`'s token sequence, so
+/// whitespace inside the attribute does not matter and a commented-out
+/// or quoted attribute does not count.
+fn has_inner_attr(code: &[&Token<'_>], attr: &str) -> bool {
+    let want: Vec<&str> = lexer::tokenize(attr).iter().map(|t| t.text).collect();
+    code.windows(want.len())
+        .any(|w| w.iter().map(|t| t.text).eq(want.iter().copied()))
 }
 
 /// True when `path` is a crate root this lint governs.
@@ -42,9 +37,10 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
         let Some(required) = policy_for(&file.path) else {
             continue;
         };
-        let masked = mask(&file.content);
+        let toks = lexer::tokenize(&file.content);
+        let code = lexer::code(&toks);
         for attr in required {
-            if !has_inner_attr(&masked, attr) {
+            if !has_inner_attr(&code, attr) {
                 findings.push(Finding {
                     lint: "attributes",
                     path: file.path.clone(),
@@ -56,7 +52,7 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
         // `warn(missing_docs)` alongside deny would shadow nothing, but
         // its presence means the promotion was done by addition, not
         // replacement — flag the leftover.
-        if file.path.starts_with("crates/") && has_inner_attr(&masked, "#![warn(missing_docs)]") {
+        if file.path.starts_with("crates/") && has_inner_attr(&code, "#![warn(missing_docs)]") {
             findings.push(Finding {
                 lint: "attributes",
                 path: file.path.clone(),

@@ -6,7 +6,7 @@
 //! statements in source are checked, so a path dependency smuggled in
 //! through a re-export still fails.
 
-use crate::source::mask;
+use crate::lexer::{self, TokenKind};
 use crate::{line_of, Finding, SourceFile};
 
 /// Allowed `greenps-*` dependency edges, from DESIGN.md §3.
@@ -117,16 +117,14 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Finding> {
         if !file.is_library_code() {
             continue;
         }
-        let masked = mask(&file.content);
-        let mut from = 0;
-        while let Some(rel) = masked[from..].find("greenps_") {
-            let at = from + rel;
-            let after = at + "greenps_".len();
-            let dep: String = masked[after..]
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            from = after + dep.len();
+        for t in lexer::tokenize(&file.content) {
+            let Some(dep) = t
+                .text
+                .strip_prefix("greenps_")
+                .filter(|_| t.kind == TokenKind::Ident)
+            else {
+                continue;
+            };
             let dep = dep.replace('_', "-");
             if dep.is_empty() || dep == krate {
                 continue;
@@ -135,7 +133,7 @@ pub fn check_sources(files: &[SourceFile]) -> Vec<Finding> {
                 findings.push(Finding {
                     lint: "layering",
                     path: file.path.clone(),
-                    line: line_of(&file.content, at),
+                    line: line_of(&file.content, t.start),
                     message: format!(
                         "`{krate}` references `greenps_{}` but DESIGN.md §3 allows only {allowed:?}",
                         dep.replace('-', "_")
@@ -190,6 +188,15 @@ mod tests {
                 "use greenps_workload::scenario::Scenario;\n",
             ),
         ];
+        assert!(check_sources(&files).is_empty());
+    }
+
+    #[test]
+    fn comments_and_strings_do_not_count() {
+        let files = vec![SourceFile::new(
+            "crates/pubsub/src/filter.rs",
+            "// greenps_core::model\n/* greenps_core */ const S: &str = \"greenps_core\";\n",
+        )];
         assert!(check_sources(&files).is_empty());
     }
 

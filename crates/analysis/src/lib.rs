@@ -64,7 +64,6 @@ pub mod panic_freedom;
 pub mod panic_reach;
 pub mod parser;
 pub mod sarif;
-pub mod source;
 pub mod telemetry_schema;
 
 use std::fmt;

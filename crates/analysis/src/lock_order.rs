@@ -1,27 +1,25 @@
 //! Lint 7: static lock-acquisition-order graph.
 //!
 //! Catches lock inversions at analysis time, on every path rather than
-//! only those tests happen to execute: it walks each file's token stream,
-//! tracks `let g = <recv>.lock()/.read()/.write()` guard bindings per
-//! brace depth (the same lexical discipline as the lock-hygiene lint),
-//! and records an edge `A → B` whenever lock `B` is acquired while a
-//! guard on `A` is still live. Cycles in the accumulated graph are
-//! ordering violations: two threads taking the locks in opposite
-//! orders can deadlock.
+//! only those tests happen to execute. The guard-liveness engine in
+//! [`guard_scope`] walks each function's CFG and reports every
+//! acquisition met while a guard (a `let` binding or a statement
+//! temporary) may be live; each such pair is an edge `A → B`: lock `B`
+//! acquired while a guard on `A` is held. Cycles in the accumulated
+//! graph are ordering violations: two threads taking the locks in
+//! opposite orders can deadlock.
 //!
 //! Lock identity is the receiver chain with a leading `self` dropped
 //! (`self.peers.lock()` → `peers`), scoped per crate. Only zero-arg
 //! `.lock()`/`.read()`/`.write()` calls count, which keeps
 //! `io::Read::read(&mut buf)`-style methods out of the graph.
 
-use crate::lexer::{self, in_regions, Token, TokenKind};
+use crate::guard_scope::{self, lock_types, Event};
 use crate::{line_of, Finding, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code feeds the graph (the parking_lot users).
 pub const CHECKED_CRATES: [&str; 2] = ["net", "telemetry"];
-
-const ACQUIRE: [&str; 3] = ["lock", "read", "write"];
 
 /// One observed held→acquired pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,152 +34,40 @@ pub struct Edge {
     pub line: usize,
 }
 
-struct Guard {
-    name: String,
-    lock: String,
-    depth: usize,
-}
-
-/// Walks back from the `.` at `code[dot]` collecting the receiver chain
-/// (`self.state.inner` → `state.inner`). Empty when the receiver is not
-/// a plain ident chain (e.g. a call result).
-pub(crate) fn receiver_chain(code: &[&Token<'_>], dot: usize) -> Option<String> {
-    let mut parts: Vec<&str> = Vec::new();
-    let mut k = dot; // index of a `.`
-    loop {
-        let ident = k.checked_sub(1).and_then(|i| code.get(i))?;
-        if ident.kind != TokenKind::Ident {
-            return None;
-        }
-        parts.push(ident.text);
-        match k.checked_sub(2).and_then(|i| code.get(i)) {
-            Some(prev) if prev.is_punct('.') => k -= 2,
-            _ => break,
-        }
-    }
-    parts.reverse();
-    if parts.first() == Some(&"self") {
-        parts.remove(0);
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join("."))
-    }
-}
-
-/// Extracts held→acquired edges from one file (test code excluded).
-/// `krate` scopes lock identities so unrelated crates cannot alias.
-pub fn extract_edges(krate: &str, path: &str, content: &str) -> Vec<Edge> {
-    let tokens = lexer::tokenize(content);
-    let code: Vec<&Token<'_>> = lexer::code(&tokens);
-    let regions = lexer::test_regions(&tokens);
+/// Held→acquired edges of one file's non-test functions, taken from
+/// the guard-liveness engine. `krate` scopes lock identities so
+/// unrelated crates cannot alias.
+pub fn file_edges(krate: &str, file: &SourceFile, lock_types: &BTreeSet<String>) -> Vec<Edge> {
     let mut edges = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0usize;
-    let mut stmt_start = 0usize; // token index of the current statement
-
-    let mut i = 0;
-    while i < code.len() {
-        let t = code[i];
-        if t.is_punct('{') {
-            depth += 1;
-            stmt_start = i + 1;
-        } else if t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-            guards.retain(|g| g.depth <= depth);
-            stmt_start = i + 1;
-        } else if t.is_punct(';') {
-            stmt_start = i + 1;
-        } else if t.is_ident("drop")
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && code.get(i + 3).is_some_and(|n| n.is_punct(')'))
-        {
-            if let Some(arg) = code.get(i + 2).filter(|a| a.kind == TokenKind::Ident) {
-                guards.retain(|g| g.name != arg.text);
-            }
-        } else if t.is_punct('.')
-            && code
-                .get(i + 1)
-                .is_some_and(|m| m.kind == TokenKind::Ident && ACQUIRE.contains(&m.text))
-            && code.get(i + 2).is_some_and(|n| n.is_punct('('))
-            && code.get(i + 3).is_some_and(|n| n.is_punct(')'))
-            && !in_regions(t.start, &regions)
-        {
-            if let Some(chain) = receiver_chain(&code, i) {
-                let lock = format!("{krate}:{chain}");
-                for g in &guards {
-                    if g.lock != lock {
-                        edges.push(Edge {
-                            from: g.lock.clone(),
-                            to: lock.clone(),
-                            path: path.to_string(),
-                            line: line_of(content, t.start),
-                        });
-                    }
-                }
-                // `let [mut] name = <recv>.lock()` binds a live guard.
-                let recv_start = i + 1 - 2 * chain_len(&code, i);
-                if let Some(name) = let_binding(&code, stmt_start, recv_start) {
-                    guards.push(Guard { name, lock, depth });
-                }
+    for held in guard_scope::file_events(file, lock_types, false) {
+        let Event::Acquire(chain) = &held.event else {
+            continue;
+        };
+        let to = format!("{krate}:{chain}");
+        for g in &held.guards {
+            let from = format!("{krate}:{}", g.lock);
+            if from != to {
+                edges.push(Edge {
+                    from,
+                    to: to.clone(),
+                    path: file.path.clone(),
+                    line: line_of(&file.content, held.offset),
+                });
             }
         }
-        i += 1;
     }
     edges
-}
-
-/// Number of `ident .` pairs in the receiver chain ending at the `.`
-/// at `dot` (counting the `self` segment if present).
-pub(crate) fn chain_len(code: &[&Token<'_>], dot: usize) -> usize {
-    let mut n = 0;
-    let mut k = dot;
-    loop {
-        match k.checked_sub(1).and_then(|i| code.get(i)) {
-            Some(id) if id.kind == TokenKind::Ident => n += 1,
-            _ => break,
-        }
-        match k.checked_sub(2).and_then(|i| code.get(i)) {
-            Some(prev) if prev.is_punct('.') => k -= 2,
-            _ => break,
-        }
-    }
-    n
-}
-
-/// When the tokens from `stmt_start` to `recv_start` are exactly
-/// `let [mut] name =`, returns `name`.
-pub(crate) fn let_binding(
-    code: &[&Token<'_>],
-    stmt_start: usize,
-    recv_start: usize,
-) -> Option<String> {
-    let head: Vec<&&Token<'_>> = code.get(stmt_start..recv_start)?.iter().collect();
-    match head.as_slice() {
-        [l, n, eq] if l.is_ident("let") && n.kind == TokenKind::Ident && eq.is_punct('=') => {
-            Some(n.text.to_string())
-        }
-        [l, m, n, eq]
-            if l.is_ident("let")
-                && m.is_ident("mut")
-                && n.kind == TokenKind::Ident
-                && eq.is_punct('=') =>
-        {
-            Some(n.text.to_string())
-        }
-        _ => None,
-    }
 }
 
 /// Runs the lint: builds the workspace acquisition graph and reports
 /// every cycle as a finding.
 pub fn run(files: &[SourceFile]) -> Vec<Finding> {
+    let types = lock_types(files);
     let mut edges: Vec<Edge> = Vec::new();
     for file in files {
         if let Some(krate) = file.crate_name() {
             if CHECKED_CRATES.contains(&krate) && file.is_library_code() {
-                edges.extend(extract_edges(krate, &file.path, &file.content));
+                edges.extend(file_edges(krate, file, &types));
             }
         }
     }
@@ -255,7 +141,8 @@ mod tests {
     use super::*;
 
     fn edges(src: &str) -> Vec<(String, String)> {
-        extract_edges("net", "crates/net/src/x.rs", src)
+        let file = SourceFile::new("crates/net/src/x.rs", src);
+        file_edges("net", &file, &lock_types(&[]))
             .into_iter()
             .map(|e| (e.from, e.to))
             .collect()

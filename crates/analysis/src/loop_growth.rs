@@ -22,8 +22,8 @@
 use std::collections::BTreeMap;
 
 use crate::cfg::Cfg;
+use crate::guard_scope::receiver_chain;
 use crate::lexer::{self, Token, TokenKind};
-use crate::lock_order::receiver_chain;
 use crate::parser::{self, FnItem};
 use crate::{line_of, Finding, SourceFile};
 

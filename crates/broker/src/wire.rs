@@ -98,6 +98,11 @@ fn put_predicate(out: &mut Vec<u8>, p: &Predicate) {
     put_value(out, &p.value);
 }
 
+/// Smallest predicate encoding: an empty attribute (its `u32`
+/// length), the op tag, and a value tag plus the smallest value (a
+/// `bool` byte).
+const MIN_PREDICATE_LEN: usize = 4 + 1 + 1 + 1;
+
 fn read_predicate(r: &mut WireReader<'_>) -> Result<Predicate, WireError> {
     let attr = r.str()?;
     let op = read_op(r)?;
@@ -114,7 +119,7 @@ fn put_filter(out: &mut Vec<u8>, f: &greenps_pubsub::filter::Filter) {
 }
 
 fn read_filter(r: &mut WireReader<'_>) -> Result<greenps_pubsub::filter::Filter, WireError> {
-    let n = r.seq_len()?;
+    let n = r.seq_len_of(MIN_PREDICATE_LEN)?;
     let mut preds = Vec::with_capacity(n);
     for _ in 0..n {
         preds.push(read_predicate(r)?);
@@ -242,6 +247,9 @@ fn put_publisher_profile(out: &mut Vec<u8>, p: &PublisherProfile) {
     put_u64(out, p.last_msg_id.raw());
 }
 
+/// A publisher profile is four fixed 8-byte fields.
+const PUBLISHER_PROFILE_LEN: usize = 4 * 8;
+
 fn read_publisher_profile(r: &mut WireReader<'_>) -> Result<PublisherProfile, WireError> {
     let adv = AdvId::new(r.u64()?);
     let rate = r.f64()?;
@@ -280,6 +288,10 @@ fn put_sub_entry(out: &mut Vec<u8>, e: &SubscriptionEntry) {
     put_profile(out, &e.profile);
 }
 
+/// Smallest subscription entry: the id, an empty filter's count, and
+/// an empty profile's capacity and count.
+const MIN_SUB_ENTRY_LEN: usize = 8 + 4 + 8 + 4;
+
 fn read_sub_entry(r: &mut WireReader<'_>) -> Result<SubscriptionEntry, WireError> {
     let id = SubId::new(r.u64()?);
     let filter = read_filter(r)?;
@@ -299,14 +311,18 @@ fn put_gathered(out: &mut Vec<u8>, g: &GatheredBroker) {
     }
 }
 
+/// Smallest gathered broker: a spec with an empty URL (id, URL
+/// length, three `f64`s) and two empty counts.
+const MIN_GATHERED_LEN: usize = 8 + 4 + 3 * 8 + 4 + 4;
+
 fn read_gathered(r: &mut WireReader<'_>) -> Result<GatheredBroker, WireError> {
     let spec = read_spec(r)?;
-    let n_subs = r.seq_len()?;
+    let n_subs = r.seq_len_of(MIN_SUB_ENTRY_LEN)?;
     let mut subscriptions = Vec::with_capacity(n_subs);
     for _ in 0..n_subs {
         subscriptions.push(read_sub_entry(r)?);
     }
-    let n_pubs = r.seq_len()?;
+    let n_pubs = r.seq_len_of(PUBLISHER_PROFILE_LEN)?;
     let mut publishers = Vec::with_capacity(n_pubs);
     for _ in 0..n_pubs {
         publishers.push(read_publisher_profile(r)?);
@@ -394,7 +410,7 @@ impl Wire for BrokerMsg {
             TAG_BIR => Ok(BrokerMsg::Bir { request: r.u64()? }),
             TAG_BIA => {
                 let request = r.u64()?;
-                let n = r.seq_len()?;
+                let n = r.seq_len_of(MIN_GATHERED_LEN)?;
                 let mut infos = Vec::with_capacity(n);
                 for _ in 0..n {
                     infos.push(read_gathered(r)?);
@@ -523,5 +539,53 @@ mod tests {
         let v = read_bitvec(&mut WireReader::new(&edge)).expect("bound decodes");
         assert_eq!(v.capacity() as u64, MAX_CAPACITY_BITS);
         assert!(v.contains(9));
+    }
+
+    #[test]
+    fn minimum_lengths_are_the_smallest_encodings() {
+        let mut buf = Vec::new();
+        put_predicate(&mut buf, &Predicate::new("", Op::Eq, Value::Bool(false)));
+        assert_eq!(buf.len(), MIN_PREDICATE_LEN);
+
+        let mut buf = Vec::new();
+        let empty = greenps_pubsub::filter::Filter::from_predicates(Vec::new());
+        let entry =
+            SubscriptionEntry::new(SubId::new(1), empty, SubscriptionProfile::with_capacity(1));
+        put_sub_entry(&mut buf, &entry);
+        assert_eq!(buf.len(), MIN_SUB_ENTRY_LEN);
+
+        let mut buf = Vec::new();
+        put_publisher_profile(
+            &mut buf,
+            &PublisherProfile::new(AdvId::new(1), 1.0, 1.0, MsgId::new(1)),
+        );
+        assert_eq!(buf.len(), PUBLISHER_PROFILE_LEN);
+
+        let mut buf = Vec::new();
+        let info = GatheredBroker {
+            spec: BrokerSpec::new(BrokerId::new(1), "", LinearFn::new(0.0, 0.0), 1.0),
+            subscriptions: Vec::new(),
+            publishers: Vec::new(),
+        };
+        put_gathered(&mut buf, &info);
+        assert_eq!(buf.len(), MIN_GATHERED_LEN);
+    }
+
+    #[test]
+    fn bia_count_beyond_the_frame_is_rejected_before_reserving() {
+        // A zero-filled body holds `remaining / 44` empty brokers at
+        // most; a count of `remaining / 2` must fail on the count, not
+        // after reserving 104-byte slots for it.
+        let body = 4_096;
+        let mut buf = Vec::new();
+        put_u8(&mut buf, TAG_BIA);
+        put_u64(&mut buf, 1); // request
+        put_seq_len(&mut buf, body / 2);
+        buf.resize(buf.len() + body, 0);
+        let n = (body / 2) as u64;
+        assert!(matches!(
+            decode_exact::<BrokerMsg>(&buf),
+            Err(WireError::BadLength(got)) if got == n
+        ));
     }
 }

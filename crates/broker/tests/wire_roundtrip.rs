@@ -174,3 +174,51 @@ proptest! {
         }
     }
 }
+
+/// Decodes hostile `bytes`: a panic fails the test, an error passes,
+/// and an accepted message must re-encode to bytes that decode to the
+/// same message again. `BrokerMsg` has no `PartialEq`, so "the same"
+/// is compared on the encoding, which carries floats as raw bits.
+fn decodes_or_errs(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let Ok(msg) = decode_exact::<BrokerMsg>(bytes) else {
+        return Ok(());
+    };
+    let mut first = Vec::new();
+    msg.encode(&mut first);
+    let again: BrokerMsg = match decode_exact(&first) {
+        Ok(again) => again,
+        Err(e) => {
+            return Err(TestCaseError::fail(format!(
+                "re-encoding of an accepted message does not decode: {e}"
+            )))
+        }
+    };
+    let mut second = Vec::new();
+    again.encode(&mut second);
+    prop_assert_eq!(first, second, "accepted message is not stable");
+    Ok(())
+}
+
+proptest! {
+    /// Hostile input of three kinds: random bytes, every prefix of a
+    /// valid encoding, and every single-bit flip of it. Decoding
+    /// returns a message or a `WireError`, never panics.
+    #[test]
+    fn decoder_survives_random_truncated_and_bit_flipped_input(
+        msg in arb_msg(),
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        decodes_or_errs(&noise)?;
+        let mut valid = Vec::new();
+        msg.encode(&mut valid);
+        for cut in 0..valid.len() {
+            decodes_or_errs(&valid[..cut])?;
+        }
+        let mut flipped = valid.clone();
+        for bit in 0..valid.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decodes_or_errs(&flipped)?;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}

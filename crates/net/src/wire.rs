@@ -125,9 +125,19 @@ impl<'a> WireReader<'a> {
     /// against the bytes actually remaining (each element needs at
     /// least one byte, so a count beyond `remaining` is corrupt).
     pub fn seq_len(&mut self) -> Result<usize, WireError> {
+        self.seq_len_of(1)
+    }
+
+    /// Reads a collection count whose elements each encode to at least
+    /// `min_len` bytes; a count whose elements cannot fit in the bytes
+    /// remaining is [`WireError::BadLength`]. A decoder may then
+    /// reserve `count` elements up front: the reservation is bounded by
+    /// the input it was sent, times the element's in-memory size over
+    /// `min_len`.
+    pub fn seq_len_of(&mut self, min_len: usize) -> Result<usize, WireError> {
         let n = self.u32()?;
         let n_usize = usize::try_from(n).map_err(|_| WireError::BadLength(u64::from(n)))?;
-        if n_usize > self.remaining() {
+        if n_usize.saturating_mul(min_len.max(1)) > self.remaining() {
             return Err(WireError::BadLength(u64::from(n)));
         }
         Ok(n_usize)
